@@ -114,7 +114,17 @@ FaultPlan canned_plan(Role role, std::string name) {
   FaultPlan plan;
   plan.name = std::move(name);
   plan.role = role;
-  plan.clauses.push_back(Clause{.kind = ClauseKind::kAmbient});
+  plan.clauses.push_back(Clause{.kind = ClauseKind::kAmbient,
+                                .windows = {},
+                                .src_scope = {},
+                                .dst_scope = {},
+                                .p = 0.0,
+                                .burst = {},
+                                .processes = {},
+                                .crash_count = 0,
+                                .crash_at = 0,
+                                .recover_at = std::nullopt,
+                                .sigma_fraction = 1.0});
   return plan;
 }
 

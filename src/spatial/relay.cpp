@@ -107,7 +107,9 @@ void RelayFabric::broadcast(ProcessId src, FramePayload payload,
   TURQ_ASSERT(src < nodes_.size());
   TURQ_ASSERT_MSG(payload != nullptr, "broadcast payload must be non-null");
   const std::uint32_t seq = next_seq_[src]++;
-  mark_seen(nodes_[src], src, seq);  // forwards of our own frame are dupes
+  // Forwards of our own frame are dupes; a fresh sequence number is unseen.
+  const bool fresh = mark_seen(nodes_[src], src, seq);
+  TURQ_ASSERT_MSG(fresh, "origin sequence number already marked seen");
   origin_frames_->add();
   Bytes wrapped(kHeaderBytes + payload->size());
   write_header(wrapped, src, 0, seq);

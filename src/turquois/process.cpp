@@ -12,6 +12,20 @@ namespace turq::turquois {
 namespace {
 /// Bound on the pending pool; beyond it the oldest-phase entries are cut.
 constexpr std::size_t kMaxPending = 4096;
+
+/// Attachments per datagram: one MSDU holds about 42 (each is ~47 bytes
+/// with its revealed key; the medium enforces the hard limit).
+constexpr std::size_t kMaxAttachments = 42;
+
+/// Adds `m` to the justification unless it is full or already carries a
+/// message with the same (sender, phase); justification messages never nest.
+void attach(std::vector<const Message*>& picks, const Message& m) {
+  if (picks.size() == kMaxAttachments) return;
+  for (const Message* p : picks) {
+    if (p->dedup_key() == m.dedup_key()) return;
+  }
+  picks.push_back(&m);
+}
 }  // namespace
 
 Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
@@ -26,11 +40,12 @@ Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
       id_(id),
       rng_(rng),
       costs_(costs),
+      claims_(config.n, config.f),
       exchange_pool_(hooks.exchange_pool),
       on_decide_(std::move(hooks.on_decide)),
       on_phase_(std::move(hooks.on_phase)),
       mutator_(std::move(hooks.mutate_outgoing)) {
-  claimed_.resize(cfg_.n, 0);
+  if (exchange_pool_ != nullptr) last_exchange_.assign(cfg_.n, nullptr);
   endpoint_.set_handler([this](ProcessId src, BytesView payload) {
     on_datagram(src, payload);
   });
@@ -201,10 +216,9 @@ Process::BroadcastFingerprint Process::fingerprint(bool root_evidence) const {
   return fp;
 }
 
-std::vector<Message> Process::build_justification(bool with_root_evidence) const {
-  const BroadcastFingerprint fp = fingerprint(with_root_evidence);
-  if (just_cache_.key == fp) return just_cache_.messages;
-  std::vector<Message> out;
+std::vector<Message> Process::build_justification(
+    bool with_root_evidence) const {
+  std::vector<const Message*> picks;
 
   // Phase-1 evidence first (stall escalation only): every deeper
   // validation chain (⊥ values, undecided statuses, converge majorities)
@@ -213,16 +227,16 @@ std::vector<Message> Process::build_justification(bool with_root_evidence) const
   // opening exchange and would otherwise be permanently unable to validate
   // legitimate ⊥ states.
   if (with_root_evidence && phase_ > 2) {
-    append_quorum(out, 1, Value::kZero, cfg_.half_quorum_size());
-    append_quorum(out, 1, Value::kOne, cfg_.half_quorum_size());
+    append_quorum(picks, 1, Value::kZero, cfg_.half_quorum_size());
+    append_quorum(picks, 1, Value::kOne, cfg_.half_quorum_size());
   }
 
   // Phase justification: a quorum at φ-1, or the message we jumped on.
   if (phase_ > 1) {
     if (cfg_.exceeds_quorum(view_.count_phase(phase_ - 1))) {
-      append_quorum(out, phase_ - 1, std::nullopt, cfg_.quorum_size());
+      append_quorum(picks, phase_ - 1, std::nullopt, cfg_.quorum_size());
     } else if (jump_source_.has_value()) {
-      out.push_back(*jump_source_);
+      attach(picks, *jump_source_);
     }
   }
 
@@ -231,69 +245,54 @@ std::vector<Message> Process::build_justification(bool with_root_evidence) const
     case 1:
       if (phase_ > 1) {
         if (from_coin_) {
-          append_quorum(out, phase_ - 1, Value::kBottom, cfg_.quorum_size());
+          append_quorum(picks, phase_ - 1, Value::kBottom, cfg_.quorum_size());
         } else {
-          append_quorum(out, phase_ - 2, value_, cfg_.quorum_size());
+          append_quorum(picks, phase_ - 2, value_, cfg_.quorum_size());
         }
       }
       break;
     case 2:
-      append_quorum(out, phase_ - 1, value_, cfg_.half_quorum_size());
+      append_quorum(picks, phase_ - 1, value_, cfg_.half_quorum_size());
       break;
     default:  // phase_ % 3 == 0
       if (is_binary(value_)) {
-        append_quorum(out, phase_ - 1, value_, cfg_.quorum_size());
+        append_quorum(picks, phase_ - 1, value_, cfg_.quorum_size());
       } else {
-        append_quorum(out, phase_ - 2, Value::kZero, cfg_.half_quorum_size());
-        append_quorum(out, phase_ - 2, Value::kOne, cfg_.half_quorum_size());
+        append_quorum(picks, phase_ - 2, Value::kZero, cfg_.half_quorum_size());
+        append_quorum(picks, phase_ - 2, Value::kOne, cfg_.half_quorum_size());
       }
       break;
   }
 
   // Status justification.
   if (status_ == Status::kDecided && decide_phase_ >= 3) {
-    append_quorum(out, decide_phase_, value_, cfg_.quorum_size());
+    append_quorum(picks, decide_phase_, value_, cfg_.quorum_size());
   } else if (status_ == Status::kUndecided && phase_ > 3) {
     const Phase lock = SemanticValidator::highest_lock_phase_below(phase_);
-    append_quorum(out, lock, Value::kZero, cfg_.half_quorum_size());
-    append_quorum(out, lock, Value::kOne, cfg_.half_quorum_size());
+    append_quorum(picks, lock, Value::kZero, cfg_.half_quorum_size());
+    append_quorum(picks, lock, Value::kOne, cfg_.half_quorum_size());
     // Direct evidence of a non-uniform DECIDE quorum (see validation.cpp).
     const Phase decide = SemanticValidator::highest_decide_phase_below(phase_);
-    append_quorum(out, decide, Value::kBottom, 1);
-    append_quorum(out, decide, Value::kZero, 1);
-    append_quorum(out, decide, Value::kOne, 1);
+    append_quorum(picks, decide, Value::kBottom, 1);
+    append_quorum(picks, decide, Value::kZero, 1);
+    append_quorum(picks, decide, Value::kOne, 1);
   }
 
-  // Deduplicate by (sender, phase); justification messages never nest.
-  std::vector<Message> deduped;
-  for (Message& m : out) {
-    const bool dup = std::any_of(
-        deduped.begin(), deduped.end(), [&](const Message& existing) {
-          return existing.dedup_key() == m.dedup_key();
-        });
-    if (!dup) deduped.push_back(std::move(m));
-  }
-  // Keep the datagram within one MSDU (each attachment is ~47 bytes with
-  // its revealed key; the medium enforces the hard limit).
-  constexpr std::size_t kMaxAttachments = 42;
-  if (deduped.size() > kMaxAttachments) deduped.resize(kMaxAttachments);
-  just_cache_ = {fp, std::move(deduped)};
-  return just_cache_.messages;
+  std::vector<Message> out;
+  for (const Message* m : picks) out.push_back(*m);
+  return out;
 }
 
-void Process::append_quorum(std::vector<Message>& out, Phase phase,
+void Process::append_quorum(std::vector<const Message*>& picks, Phase phase,
                             std::optional<Value> value,
                             std::size_t want) const {
   if (phase == 0) return;
   const auto msgs = value.has_value()
                         ? view_.messages_at_with_value(phase, *value, want)
                         : view_.messages_at(phase);
-  std::size_t taken = 0;
-  for (const Message* m : msgs) {
-    if (taken == want) break;
-    out.push_back(*m);
-    ++taken;
-  }
+  // The first `want` candidates count even when attach() drops them.
+  const std::size_t take = std::min(want, msgs.size());
+  for (std::size_t i = 0; i < take; ++i) attach(picks, *msgs[i]);
 }
 
 // ---------------------------------------------------------------- task T2 --
@@ -305,7 +304,6 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
     prestart_.emplace_back(src, Bytes(payload.begin(), payload.end()));
     return;
   }
-  (void)src;
   // Decode + authenticate on the host: shared across all receivers via the
   // prepared-exchange pool when one is installed, otherwise privately with
   // the per-message memo inside ingest() (the original path — kept verbatim
@@ -341,29 +339,43 @@ void Process::on_datagram(ProcessId src, BytesView payload) {
                  static_cast<double>(cost) / 1000.0);
   if (prep != nullptr) {
     // The pool entry (and its payload/datagram/verdicts) outlives the run.
-    rt_.execute(cost, [this, prep] {
+    rt_.execute(cost, [this, prep, src] {
       if (!running_) return;
-      process_exchange(*prep->datagram, prep->auth);
+      const Datagram& d = *prep->datagram;
+      const bool repeat = repeats_last_exchange(src, d, prep->auth);
+      process_exchange(d, prep->auth, repeat);
     });
   } else {
     rt_.execute(cost, [this, d = std::move(*local)] {
       if (!running_) return;
-      process_exchange(d, {});
+      process_exchange(d, {}, /*repeat=*/false);
     });
   }
 }
 
+bool Process::repeats_last_exchange(ProcessId src, const Datagram& d,
+                                    const std::vector<std::uint8_t>& auth) {
+  if (src >= last_exchange_.size()) return false;
+  const bool repeat = last_exchange_[src] == &d;
+  const bool authentic = std::find(auth.begin(), auth.end(), 0) == auth.end();
+  last_exchange_[src] = authentic ? &d : nullptr;
+  return repeat;
+}
+
 void Process::process_exchange(const Datagram& d,
-                               const std::vector<std::uint8_t>& auth) {
-  // An empty `auth` means no pre-computed verdicts: every ingest falls
-  // back to the per-message memo (the pool-less path).
-  const auto verdict_at = [&](std::size_t i) -> int {
-    return auth.empty() ? -1 : static_cast<int>(auth[i]);
-  };
-  for (std::size_t i = 0; i < d.justification.size(); ++i) {
-    ingest(d.justification[i], verdict_at(i));
+                               const std::vector<std::uint8_t>& auth,
+                               bool repeat) {
+  if (!repeat) {
+    // An empty `auth` means no pre-computed verdicts: every ingest falls
+    // back to the per-message memo (the pool-less path).
+    const auto verdict_at = [&](std::size_t i) -> int {
+      return auth.empty() ? -1 : static_cast<int>(auth[i]);
+    };
+    for (std::size_t i = 0; i < d.justification.size(); ++i) {
+      ingest(d.justification[i], verdict_at(i));
+    }
+    ingest(d.main, verdict_at(d.justification.size()));
   }
-  ingest(d.main, verdict_at(d.justification.size()));
   const Phase before = phase_;
   bool grew = drain_pending();
   while (grew) {
@@ -396,21 +408,31 @@ void Process::ingest(const Message& m, int pre_verdict) {
     return;
   }
   ++stats_.messages_authenticated;
-  claimed_[m.sender] = std::max(claimed_[m.sender], m.phase);
+  claims_.raise(m.sender, m.phase);
   corroboration_[{m.phase, static_cast<std::uint8_t>(m.value)}].insert(
       m.sender);
   pending_.push_back(m);
+  pending_dirty_ = true;
   if (pending_.size() > kMaxPending) prune_pending();
   stats_.still_pending = std::max(stats_.still_pending,
                                   static_cast<std::uint64_t>(pending_.size()));
 }
 
+SemanticValidator Process::validator() const {
+  return SemanticValidator(cfg_, view_, claims_.floor(), &corroboration_);
+}
+
 bool Process::drain_pending() {
+  // The validator reads only V, the claims and the corroboration index, so
+  // with nothing changed since a pass that found nothing, a new pass would
+  // find nothing too.
+  if (!pending_dirty_) return false;
   bool any = false;
   bool progress = true;
   while (progress) {
     progress = false;
-    const SemanticValidator validator(cfg_, view_, &claimed_, &corroboration_);
+    pending_dirty_ = false;
+    const SemanticValidator validator = this->validator();
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (validator.valid(*it)) {
         if (view_.insert(*it)) {
@@ -419,6 +441,7 @@ bool Process::drain_pending() {
         }
         it = pending_.erase(it);
         progress = true;
+        pending_dirty_ = true;
       } else {
         ++it;
       }
@@ -434,29 +457,37 @@ bool Process::drain_pending() {
 bool Process::apply_decision_certificates() {
   // A quorum of authentic messages agreeing on (DECIDE phase, binary value)
   // is self-certifying: quorum intersection places a correct process that
-  // validly reached that state inside any such set (DESIGN.md §5). Count
-  // distinct senders across V and the pending pool, then admit the pending
-  // members wholesale.
-  bool inserted = false;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Message& seed = pending_[i];
-    if (seed.phase % 3 != 0 || !is_binary(seed.value)) continue;
-    SenderSet senders;  // n <= SenderSet::kCapacity in all deployments here
-    std::size_t count = view_.count_phase_value(seed.phase, seed.value);
-    for (const Message& m : pending_) {
-      if (m.phase != seed.phase || m.value != seed.value) continue;
-      // The bitset is total: ingest() rejects sender >= cfg_.n and
-      // Config::validate pins n <= 128, so no sender can silently skip the
-      // view-presence check (harness::validate enforces the same ceiling
-      // at the scenario boundary).
-      if (!view_.has(m.sender, m.phase) && !senders.contains(m.sender)) {
-        senders.insert(m.sender);
-        ++count;
-      }
+  // validly reached that state inside any such set (DESIGN.md §5). One pass
+  // collects, per key in order of first appearance in the pool, the
+  // distinct pending senders not yet in V at that phase. The first key
+  // whose V count plus those senders exceeds the quorum has its pending
+  // members admitted wholesale.
+  struct Certificate {
+    Phase phase;
+    Value value;
+    // Total over senders: ingest() rejects sender >= cfg_.n and
+    // Config::validate pins n <= SenderSet::kCapacity.
+    SenderSet senders;
+  };
+  std::vector<Certificate> keys;
+  for (const Message& m : pending_) {
+    if (m.phase % 3 != 0 || !is_binary(m.value)) continue;
+    auto key = std::find_if(keys.begin(), keys.end(), [&](const auto& c) {
+      return c.phase == m.phase && c.value == m.value;
+    });
+    if (key == keys.end()) {
+      keys.push_back({.phase = m.phase, .value = m.value, .senders = {}});
+      key = std::prev(keys.end());
     }
+    if (!view_.has(m.sender, m.phase)) key->senders.insert(m.sender);
+  }
+  for (const Certificate& key : keys) {
+    const std::size_t count =
+        view_.count_phase_value(key.phase, key.value) + key.senders.count();
     if (!cfg_.exceeds_quorum(count)) continue;
+    bool inserted = false;
     for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->phase == seed.phase && it->value == seed.value) {
+      if (it->phase == key.phase && it->value == key.value) {
         if (view_.insert(*it)) {
           ++stats_.accepted;
           inserted = true;
@@ -466,13 +497,16 @@ bool Process::apply_decision_certificates() {
         ++it;
       }
     }
-    break;  // restart the fixpoint with the grown view
+    pending_dirty_ = true;
+    return inserted;  // restart the fixpoint with the grown view
   }
-  return inserted;
+  return false;
 }
 
 void Process::prune_pending() {
   // Drop entries far below the current phase; they can no longer matter.
+  pending_dirty_ = true;
+  std::fill(last_exchange_.begin(), last_exchange_.end(), nullptr);
   const Phase floor = phase_ > 6 ? phase_ - 6 : 1;
   std::erase_if(pending_, [&](const Message& m) { return m.phase < floor; });
   // Still oversized (e.g. a flood of future phases): drop the farthest.
@@ -588,17 +622,19 @@ void Process::quorum_transition() {
 }
 
 std::string Process::explain_pending() const {
-  const SemanticValidator validator(cfg_, view_);
+  const SemanticValidator validator = this->validator();
   std::string out;
   for (const Message& m : pending_) {
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "  <s=%u phi=%u v=%s st=%s coin=%d> phase=%d value=%d status=%d\n",
+                  "  <s=%u phi=%u v=%s st=%s coin=%d> phase=%d value=%d "
+                  "status=%d corroborated=%d\n",
                   m.sender, m.phase, to_string(m.value).c_str(),
                   to_string(m.status).c_str(), m.from_coin ? 1 : 0,
                   validator.phase_valid(m) ? 1 : 0,
                   validator.value_valid(m) ? 1 : 0,
-                  validator.status_valid(m) ? 1 : 0);
+                  validator.status_valid(m) ? 1 : 0,
+                  validator.corroborated(m) ? 1 : 0);
     out += line;
   }
   return out;

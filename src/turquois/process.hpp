@@ -146,20 +146,29 @@ class Process {
   /// per-message memo. Verdicts are pure, so both paths behave identically.
   void ingest(const Message& m, int pre_verdict = -1);
   /// The T2 body shared by both delivery paths: ingest every contained
-  /// message with its verdict, run the validation fixpoint + transitions.
+  /// message with its verdict (unless `repeat`, see last_exchange_), run
+  /// the validation fixpoint + transitions.
   void process_exchange(const Datagram& d,
-                        const std::vector<std::uint8_t>& auth);
+                        const std::vector<std::uint8_t>& auth, bool repeat);
+  /// True if pooled exchange `d` is last_exchange_[src]; records it there
+  /// when re-ingesting it later would change nothing.
+  bool repeats_last_exchange(ProcessId src, const Datagram& d,
+                             const std::vector<std::uint8_t>& auth);
   bool drain_pending();                   // fixpoint; true if V grew
   bool apply_decision_certificates();     // collective quorum acceptance
+  /// The validator drain_pending applies and explain_pending reports.
+  [[nodiscard]] SemanticValidator validator() const;
   bool run_transitions();                 // lines 10-39; true if state changed
   void adopt(const Message& m);           // lines 11-17
   void quorum_transition();               // lines 20-38
   void maybe_decide();                    // lines 40-42
   void prune_pending();
 
+  /// The §6.2 attachments for the current state: the first kMaxAttachments
+  /// distinct (sender, phase) messages the rules select, in rule order.
   [[nodiscard]] std::vector<Message> build_justification(
       bool with_root_evidence) const;
-  void append_quorum(std::vector<Message>& out, Phase phase,
+  void append_quorum(std::vector<const Message*>& picks, Phase phase,
                      std::optional<Value> value, std::size_t want) const;
 
   /// Delegation target of the two public constructors: exactly one of
@@ -188,10 +197,22 @@ class Process {
   Phase decide_phase_ = 0;
 
   std::vector<Message> pending_;            // authentic, not yet semantically valid
-  std::vector<Phase> claimed_;              // per-sender max authentic phase
+  // Set by every change drain_pending's verdicts depend on: a pending_
+  // push, erase or prune, and a V insert (claims and corroboration only
+  // change alongside a push). Cleared only by a drain pass, certificates
+  // included, that mutated nothing; while clear, a pass would find nothing.
+  bool pending_dirty_ = false;
+  ClaimedPhases claims_;                    // per-sender max authentic phase
   CorroborationIndex corroboration_;        // senders per (phase, value)
   VerifyMemo verify_memo_;                  // collapses repeat ots_verify calls
   ExchangePool* exchange_pool_ = nullptr;   // optional shared prepared cache
+  // Per sender, the pooled exchange last ingested in full (pool entries
+  // live as long as the pool, so the address identifies the bytes). A
+  // stalled sender re-sends identical bytes every tick. Re-ingesting them
+  // finds every message in V or still pending, unless a prune dropped it
+  // (prune_pending clears this) or it failed authentication (and must be
+  // counted again, so such exchanges are never recorded).
+  std::vector<const Datagram*> last_exchange_;
   std::optional<Message> jump_source_;      // justification for a jumped phase
   bool running_ = false;
   bool halted_ = false;
@@ -204,10 +225,10 @@ class Process {
   std::optional<std::tuple<Phase, Value, Status>> last_sent_;
   std::uint32_t repeat_count_ = 0;
 
-  // Memos for the broadcast path. A stalled process re-sends the same
+  // Memo for the broadcast path. A stalled process re-sends the same
   // justified state every tick, reassembling (and re-encoding) up to 42
   // attachments from fresh view scans each time — the single hottest host
-  // cost at n=128. Both caches key on a *fingerprint* of exactly the view
+  // cost at n=128. The memo keys on a *fingerprint* of exactly the view
   // state the assembly reads: the broadcast tuple plus the message count
   // of each phase book the justification rules consult (phase 1, φ-1,
   // φ-2, the decide phase, and the lock/decide phases below φ). Phase
@@ -227,16 +248,12 @@ class Process {
   };
   [[nodiscard]] BroadcastFingerprint fingerprint(bool root_evidence) const;
 
-  struct JustificationCache {
-    std::optional<BroadcastFingerprint> key;
-    std::vector<Message> messages;
-  };
-  mutable JustificationCache just_cache_;
-
   // Whole-payload memo: when the fingerprint matches and no Byzantine
   // mutator is installed (a mutator may consume randomness, so it must
   // run every time), the previously encoded datagram bytes are re-sent
   // verbatim. Covers justification assembly, signing, and encoding.
+  // Mutated broadcasts reassemble every time; assembly picks pointers into
+  // V and copies only the attachments it sends.
   struct EncodedCache {
     std::optional<BroadcastFingerprint> key;
     Bytes payload;

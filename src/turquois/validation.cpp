@@ -1,5 +1,7 @@
 #include "turquois/validation.hpp"
 
+#include <algorithm>
+
 namespace turq::turquois {
 
 bool authentic(const KeyInfrastructure& keys, const Config& cfg,
@@ -113,21 +115,35 @@ Phase SemanticValidator::highest_lock_phase_below(Phase phase) {
   }
 }
 
+ClaimedPhases::ClaimedPhases(std::uint32_t n, std::uint32_t f)
+    : claimed_(n, 0), rank_(f) {}
+
+void ClaimedPhases::raise(ProcessId sender, Phase phase) {
+  Phase& claim = claimed_[sender];
+  if (phase <= claim) return;
+  const bool was_above = claim > floor_;
+  claim = phase;
+  if (was_above || phase <= floor_ || ++above_ <= rank_) return;
+  // f+1 claims now exceed the floor and every other claim is at or below
+  // it, so the lowest of those f+1 is the new (f+1)-th highest.
+  Phase lowest = phase;
+  for (const Phase c : claimed_) {
+    if (c > floor_) lowest = std::min(lowest, c);
+  }
+  floor_ = lowest;
+  above_ = static_cast<std::uint32_t>(std::count_if(
+      claimed_.begin(), claimed_.end(), [&](Phase c) { return c > floor_; }));
+}
+
 bool SemanticValidator::phase_valid(const Message& m) const {
   if (m.phase == 1) return true;
   if (cfg_.exceeds_quorum(view_.count_phase(m.phase - 1))) return true;
   if (cfg_.transitive_phase_rule) {
+    // Authentic claims are enough for phase existence: at least one of
+    // f+1 distinct claimants is correct, and a correct process only
+    // broadcasts a phase it validly reached.
+    if (m.phase <= claim_floor_) return true;
     if (view_.count_phase_at_least(m.phase) >= cfg_.f + 1) return true;
-    if (claimed_ != nullptr) {
-      // Authentic claims are enough for phase existence: at least one of
-      // f+1 distinct claimants is correct, and a correct process only
-      // broadcasts a phase it validly reached.
-      std::size_t claimants = 0;
-      for (const Phase c : *claimed_) {
-        if (c >= m.phase) ++claimants;
-      }
-      if (claimants >= cfg_.f + 1) return true;
-    }
   }
   return false;
 }

@@ -74,18 +74,41 @@ class VerifyMemo {
 using CorroborationIndex =
     std::map<std::pair<Phase, std::uint8_t>, SenderSet>;
 
+/// Per-sender maximum phase seen in any *authentic* message (validated or
+/// still pending), with the transitive phase rule's threshold kept current:
+/// the claim floor, the (f+1)-th highest claim. f+1 distinct senders claim
+/// phase >= φ exactly when φ <= floor(), so the rule costs one comparison.
+/// Claims only rise, and at most f of them exceed the floor. The floor
+/// moves only when a claim crossing it makes that f+1; one scan then finds
+/// the new floor, so a claim costs O(1) amortized over a phase.
+class ClaimedPhases {
+ public:
+  ClaimedPhases(std::uint32_t n, std::uint32_t f);
+
+  /// Records an authentic message from `sender` at `phase`.
+  void raise(ProcessId sender, Phase phase);
+
+  /// The (f+1)-th highest claim; 0 while fewer than f+1 senders claim any.
+  [[nodiscard]] Phase floor() const { return floor_; }
+
+ private:
+  std::vector<Phase> claimed_;
+  std::uint32_t rank_;       // f: claims allowed above the floor
+  std::uint32_t above_ = 0;  // claims above the floor
+  Phase floor_ = 0;
+};
+
 class SemanticValidator {
  public:
-  /// `claimed_phases` (optional): per-sender maximum phase seen in any
-  /// *authentic* message (validated or still pending). Used by the
-  /// transitive phase rule: f+1 distinct senders claiming phase >= φ imply
-  /// at least one correct process validly reached φ.
+  /// `claim_floor`: ClaimedPhases::floor() over every authentic message the
+  /// receiver holds (0 = no claims). Used by the transitive phase rule: f+1
+  /// distinct senders claiming phase >= φ imply that at least one correct
+  /// process validly reached φ.
   /// `corroboration` (optional): enables the corroboration rule (see
   /// corroborated()).
-  SemanticValidator(const Config& cfg, const View& view,
-                    const std::vector<Phase>* claimed_phases = nullptr,
+  SemanticValidator(const Config& cfg, const View& view, Phase claim_floor = 0,
                     const CorroborationIndex* corroboration = nullptr)
-      : cfg_(cfg), view_(view), claimed_(claimed_phases),
+      : cfg_(cfg), view_(view), claim_floor_(claim_floor),
         corroboration_(corroboration) {}
 
   /// Full semantic check: all three state variables must pass, or the
@@ -123,7 +146,7 @@ class SemanticValidator {
  private:
   const Config& cfg_;
   const View& view_;
-  const std::vector<Phase>* claimed_;
+  Phase claim_floor_;
   const CorroborationIndex* corroboration_;
 };
 

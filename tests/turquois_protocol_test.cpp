@@ -5,19 +5,27 @@
 // problem's three properties: validity, agreement, termination.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "crypto/cost_model.hpp"
 #include "net/broadcast_endpoint.hpp"
 #include "net/fault_injector.hpp"
+#include "net/datagram_port.hpp"
 #include "net/medium.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
 #include "adversary/strategies.hpp"
+#include "turquois/exchange_pool.hpp"
 #include "turquois/process.hpp"
 
 namespace turq::turquois {
@@ -369,6 +377,246 @@ TEST(TurquoisByzantine, ReplayedStatusCannotForgeDecision) {
   View empty_view;
   const SemanticValidator validator(cfg, empty_view);
   EXPECT_FALSE(validator.status_valid(replayed));  // …but cannot validate
+}
+
+// ------------------------------------------------- single-process probes --
+
+/// A port the test feeds by hand: datagrams go straight to the process's
+/// handler and its own broadcasts go nowhere.
+class HandFedPort final : public net::DatagramPort {
+ public:
+  void set_handler(net::DatagramHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send(Bytes) override {}
+  void close() override {}
+  void deliver(const Datagram& d) {
+    const Bytes payload = d.encode();
+    handler_(d.main.sender, payload);
+  }
+
+ private:
+  net::DatagramHandler handler_;
+};
+
+/// Process 0 of an n-process group, proposing 1, with nobody else running:
+/// every message it sees is one the test signs and hands it.
+class LoneProcess {
+ public:
+  LoneProcess(std::uint32_t n, std::uint64_t seed)
+      : cfg_(Config::for_group(n)),
+        root_(seed),
+        keys_(KeyInfrastructure::setup(cfg_, root_)),
+        cpu_(sim_),
+        rt_(sim_, cpu_),
+        process_(rt_, port_, cfg_, keys_, 0, root_.derive("process", 0),
+                 costs_) {
+    process_.propose(Value::kOne);
+  }
+
+  /// An authentic message: `sender` reveals its real one-time key.
+  Message signed_msg(ProcessId sender, Phase phase, Value v,
+                     Status status = Status::kUndecided) const {
+    return Message{.sender = sender,
+                   .phase = phase,
+                   .value = v,
+                   .status = status,
+                   .from_coin = false,
+                   .auth_sk = keys_.chain(sender).secret_key(phase, v)};
+  }
+
+  /// Hands `d` to the process and runs its (virtual-time) verification.
+  void deliver(const Datagram& d) {
+    port_.deliver(d);
+    sim_.run_until(sim_.now() + 5 * kMillisecond);
+  }
+
+  Process& process() { return process_; }
+
+ private:
+  Config cfg_;
+  Rng root_;
+  KeyInfrastructure keys_;
+  crypto::CostModel costs_;
+  sim::Simulator sim_;
+  sim::VirtualCpu cpu_;
+  runtime::SimRuntime rt_;
+  HandFedPort port_;
+  Process process_;
+};
+
+TEST(TurquoisCertificates, AdmitOnlyTheCertifiedKey) {
+  // n=4, f=1: three authentic decided messages at (phase 6, value 1) are a
+  // decision certificate (3 > (n+f)/2), though none is valid on its own.
+  // An unrelated message queued behind them in the pending pool must not
+  // ride along into V: admitting the certificate once erased pending
+  // entries through a reference to the (erased) seed, so every later
+  // pending message matched "the seed's key" and skipped validation.
+  LoneProcess lone(4, 61);
+  Datagram d;
+  for (const ProcessId s : {1u, 2u, 3u}) {
+    d.justification.push_back(
+        lone.signed_msg(s, 6, Value::kOne, Status::kDecided));
+  }
+  // Phase 8 has one claimant (the claim floor is 6) and no phase-7 quorum.
+  d.main = lone.signed_msg(1, 8, Value::kZero);
+  lone.deliver(d);
+
+  const View& view = lone.process().view();
+  for (const ProcessId s : {1u, 2u, 3u}) EXPECT_TRUE(view.has(s, 6));
+  EXPECT_FALSE(view.has(1, 8)) << "uncertified pending message entered V";
+  EXPECT_NE(lone.process().explain_pending().find("<s=1 phi=8 "),
+            std::string::npos);
+}
+
+TEST(TurquoisDiagnostics, ExplainPendingUsesTheDrainValidator) {
+  // n=4, f=1: two senders claiming phase 5 justify phase 5 by the claim
+  // rule, with nothing in V. Split values keep both messages
+  // uncorroborated and value-invalid, so they stay pending; the report must
+  // judge their phase by the same rule the drain applies.
+  LoneProcess lone(4, 62);
+  Datagram d;
+  d.justification.push_back(lone.signed_msg(2, 5, Value::kOne));
+  d.main = lone.signed_msg(1, 5, Value::kZero);
+  lone.deliver(d);
+
+  const std::string report = lone.process().explain_pending();
+  std::istringstream lines(report);
+  std::string line;
+  int entries = 0;
+  while (std::getline(lines, line)) {
+    ++entries;
+    EXPECT_NE(line.find(" phase=1 value=0 status=0 corroborated=0"),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(entries, 2) << report;
+}
+
+// ------------------------------------------------------ n=128 golden run --
+
+/// One seeded failure-free repetition at n=128 (11 Mb/s broadcasts, 40 ms
+/// tick, shared exchange pool, unanimous proposals, no loss), rendered as
+/// each process's decision, the summed Process::Stats and the medium
+/// counters.
+std::string n128_report() {
+  constexpr std::uint32_t kN = 128;
+  Config cfg = Config::for_group(kN);
+  cfg.tick_interval = 40 * kMillisecond;
+  net::MediumConfig medium_cfg;
+  medium_cfg.broadcast_rate_bps = 11e6;
+  Rng root(128);
+  sim::Simulator sim;
+  net::Medium medium(sim, medium_cfg, root.derive("medium", 0));
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, root);
+  ExchangePool pool(keys, cfg, nullptr);
+  const crypto::CostModel costs;
+
+  struct Decision {
+    Value value = Value::kBottom;
+    Phase phase = 0;
+    SimTime at = 0;
+  };
+  std::vector<std::optional<Decision>> decisions(kN);
+  std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
+  std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
+  std::vector<std::unique_ptr<Process>> processes;
+  for (ProcessId id = 0; id < kN; ++id) {
+    cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    runtimes.push_back(
+        std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
+    endpoints.push_back(
+        std::make_unique<net::BroadcastEndpoint>(sim, medium, id));
+    ProcessHooks hooks;
+    hooks.exchange_pool = &pool;
+    hooks.on_decide = [&decisions, id](Value v, Phase phase, SimTime at) {
+      decisions[id] = Decision{.value = v, .phase = phase, .at = at};
+    };
+    processes.push_back(std::make_unique<Process>(
+        *runtimes.back(), *endpoints.back(), cfg, keys, id,
+        root.derive("process", id), costs, std::move(hooks)));
+  }
+  for (const auto& p : processes) p->propose(Value::kOne);
+
+  const SimTime deadline = 120 * kSecond;
+  const auto all_decided = [&] {
+    for (const auto& p : processes) {
+      if (!p->decided()) return false;
+    }
+    return true;
+  };
+  while (!all_decided() && sim.now() < deadline) {
+    if (sim.run_until(std::min(deadline, sim.now() + 10 * kMillisecond)) ==
+            0 &&
+        sim.idle()) {
+      break;
+    }
+  }
+
+  std::ostringstream out;
+  char line[256];
+  Process::Stats sum;
+  for (ProcessId id = 0; id < kN; ++id) {
+    const Process& p = *processes[id];
+    if (decisions[id].has_value()) {
+      const Decision& d = *decisions[id];
+      std::snprintf(line, sizeof(line),
+                    "p%u decided=%s phase=%u decide_phase=%u at_ns=%lld\n", id,
+                    to_string(d.value).c_str(), d.phase, p.decide_phase(),
+                    static_cast<long long>(d.at));
+    } else {
+      std::snprintf(line, sizeof(line), "p%u undecided phase=%u\n", id,
+                    p.phase());
+    }
+    out << line;
+    const Process::Stats& s = p.stats();
+    sum.broadcasts += s.broadcasts;
+    sum.datagrams_received += s.datagrams_received;
+    sum.messages_authenticated += s.messages_authenticated;
+    sum.auth_failures += s.auth_failures;
+    sum.accepted += s.accepted;
+    sum.still_pending += s.still_pending;
+    sum.quorum_transitions += s.quorum_transitions;
+    sum.phase_jumps += s.phase_jumps;
+    sum.coin_flips += s.coin_flips;
+  }
+  out << "stats broadcasts=" << sum.broadcasts
+      << " datagrams_received=" << sum.datagrams_received
+      << " messages_authenticated=" << sum.messages_authenticated
+      << " auth_failures=" << sum.auth_failures
+      << " accepted=" << sum.accepted
+      << " still_pending=" << sum.still_pending
+      << " quorum_transitions=" << sum.quorum_transitions
+      << " phase_jumps=" << sum.phase_jumps
+      << " coin_flips=" << sum.coin_flips << "\n";
+  const net::MediumStats& m = medium.stats();
+  out << "medium broadcast_frames=" << m.broadcast_frames
+      << " collisions=" << m.collisions
+      << " frames_collided=" << m.frames_collided
+      << " deliveries=" << m.deliveries << " omissions=" << m.omissions
+      << " bytes_on_air=" << m.bytes_on_air << " airtime_ns=" << m.airtime
+      << "\n";
+  out << "end_ns=" << sim.now() << "\n";
+  return out.str();
+}
+
+// Regenerate (only for an intended behaviour change) by running
+// `tests/turquois_protocol_test --gtest_filter=TurquoisGolden.*` with
+// UPDATE_N128_GOLDEN=1 set.
+TEST(TurquoisGolden, N128FailureFreeRun) {
+  const std::string report = n128_report();
+  if (std::getenv("UPDATE_N128_GOLDEN") != nullptr) {
+    std::ofstream out(N128_GOLDEN_FILE, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << N128_GOLDEN_FILE;
+    out << report;
+    GTEST_SKIP() << "golden file updated";
+  }
+  std::ifstream golden_in(N128_GOLDEN_FILE, std::ios::binary);
+  ASSERT_TRUE(golden_in) << "missing golden file " << N128_GOLDEN_FILE;
+  std::ostringstream golden;
+  golden << golden_in.rdbuf();
+  EXPECT_EQ(report, golden.str());
 }
 
 }  // namespace

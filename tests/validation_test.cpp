@@ -158,20 +158,80 @@ TEST_F(ValidationFixture, PhaseRequiresQuorumAtPreviousPhase) {
   EXPECT_TRUE(val.phase_valid(msg(0, 2, Value::kOne)));
 }
 
+/// The claim floor of per-sender claims, raised in sender order.
+Phase floor_of(const Config& cfg, const std::vector<Phase>& claims) {
+  ClaimedPhases tracker(cfg.n, cfg.f);
+  for (ProcessId s = 0; s < claims.size(); ++s) tracker.raise(s, claims[s]);
+  return tracker.floor();
+}
+
 TEST_F(ValidationFixture, TransitivePhaseRuleViaClaims) {
   // f+1 = 3 distinct authentic claims at phase >= 9 justify phase 9.
-  std::vector<Phase> claims = {9, 0, 12, 0, 9, 0, 0};
-  const SemanticValidator val(cfg_, view_, &claims);
+  const SemanticValidator val(cfg_, view_,
+                              floor_of(cfg_, {9, 0, 12, 0, 9, 0, 0}));
   EXPECT_TRUE(val.phase_valid(msg(0, 9, Value::kOne, Status::kDecided)));
-  claims[0] = 8;  // only 2 claims >= 9 now
-  EXPECT_FALSE(val.phase_valid(msg(0, 9, Value::kOne, Status::kDecided)));
+  // Only 2 claims >= 9: claims never fall, so judge a fresh set.
+  const SemanticValidator fewer(cfg_, view_,
+                                floor_of(cfg_, {8, 0, 12, 0, 9, 0, 0}));
+  EXPECT_FALSE(fewer.phase_valid(msg(0, 9, Value::kOne, Status::kDecided)));
 }
 
 TEST_F(ValidationFixture, TransitivePhaseRuleCanBeDisabled) {
   cfg_.transitive_phase_rule = false;
-  std::vector<Phase> claims = {9, 9, 9, 9, 9, 9, 9};
-  const SemanticValidator val(cfg_, view_, &claims);
+  const SemanticValidator val(cfg_, view_,
+                              floor_of(cfg_, {9, 9, 9, 9, 9, 9, 9}));
   EXPECT_FALSE(val.phase_valid(msg(0, 9, Value::kOne)));
+}
+
+TEST_F(ValidationFixture, ClaimFloorNeedsExactlyFPlusOneClaims) {
+  // n=7, f=2: the floor is the 3rd highest claim.
+  ClaimedPhases claims(cfg_.n, cfg_.f);
+  claims.raise(0, 5);
+  claims.raise(1, 7);
+  EXPECT_EQ(claims.floor(), 0u);  // f claims prove nothing
+  EXPECT_FALSE(SemanticValidator(cfg_, view_, claims.floor())
+                   .phase_valid(msg(0, 5, Value::kOne)));
+  claims.raise(2, 6);
+  EXPECT_EQ(claims.floor(), 5u);  // claims {7, 6, 5}
+  const SemanticValidator val(cfg_, view_, claims.floor());
+  EXPECT_TRUE(val.phase_valid(msg(0, 5, Value::kOne)));
+  EXPECT_TRUE(val.phase_valid(msg(0, 2, Value::kOne)));
+  EXPECT_FALSE(val.phase_valid(msg(0, 6, Value::kOne)));
+}
+
+TEST_F(ValidationFixture, ClaimFloorCountsTiesAtTheFloor) {
+  ClaimedPhases claims(cfg_.n, cfg_.f);
+  for (ProcessId s = 0; s < 4; ++s) claims.raise(s, 4);
+  EXPECT_EQ(claims.floor(), 4u);  // four claims tie at 4
+  claims.raise(4, 4);             // another tie leaves the floor
+  claims.raise(5, 3);             // as do claims below it
+  claims.raise(0, 3);             // and stale, lower claims
+  EXPECT_EQ(claims.floor(), 4u);
+  claims.raise(1, 9);
+  claims.raise(2, 9);
+  EXPECT_EQ(claims.floor(), 4u);  // {9, 9, 4, 4, 4, ...}: 3rd highest is 4
+  const SemanticValidator val(cfg_, view_, claims.floor());
+  EXPECT_TRUE(val.phase_valid(msg(0, 4, Value::kOne)));
+  EXPECT_FALSE(val.phase_valid(msg(0, 5, Value::kOne)));
+}
+
+TEST_F(ValidationFixture, ClaimFloorFollowsAClaimRisingAboveIt) {
+  ClaimedPhases claims(cfg_.n, cfg_.f);
+  claims.raise(0, 3);
+  claims.raise(1, 3);
+  claims.raise(2, 3);
+  EXPECT_EQ(claims.floor(), 3u);
+  claims.raise(0, 8);  // {8, 3, 3}: still 3
+  EXPECT_EQ(claims.floor(), 3u);
+  claims.raise(1, 6);  // {8, 6, 3}: still 3
+  EXPECT_EQ(claims.floor(), 3u);
+  claims.raise(2, 10);  // {10, 8, 6}
+  EXPECT_EQ(claims.floor(), 6u);
+  claims.raise(3, 7);  // {10, 8, 7, 6}
+  EXPECT_EQ(claims.floor(), 7u);
+  const SemanticValidator val(cfg_, view_, claims.floor());
+  EXPECT_TRUE(val.phase_valid(msg(0, 7, Value::kOne)));
+  EXPECT_FALSE(val.phase_valid(msg(0, 8, Value::kOne)));
 }
 
 // ------------------------------------------------------------- value rule
