@@ -47,7 +47,7 @@ BENCHMARK(BM_HmacSha256);
 void BM_OneTimeSig_Verify(benchmark::State& state) {
   Rng rng(7);
   const auto chain = OneTimeKeyChain::generate(0, 1, 16, rng);
-  const Bytes& sk = chain.secret_key(4, Value::kOne);
+  const SecretKey& sk = chain.secret_key(4, Value::kOne);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ots_verify(chain.public_keys(), 4, Value::kOne, sk));

@@ -38,7 +38,11 @@ class Writer {
   }
 
   /// Raw bytes, no length prefix.
-  void raw(BytesView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+  void raw(BytesView data) {
+    // Pointer-range insert: GCC 12 at -O2 reports false -Wstringop-overflow
+    // on the span-iterator and byte-wise push_back forms.
+    buf_.insert(buf_.end(), data.data(), data.data() + data.size());
+  }
 
   /// Length-prefixed UTF-8 string.
   void str(std::string_view s) { bytes(as_bytes(s)); }
@@ -50,9 +54,11 @@ class Writer {
  private:
   template <typename T>
   void append_le(T v) {
+    std::uint8_t le[sizeof(T)] = {};
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    raw(BytesView(le, sizeof(T)));
   }
 
   Bytes buf_;
@@ -74,17 +80,24 @@ class Reader {
     return static_cast<std::int64_t>(*v);
   }
 
-  /// Length-prefixed byte string.
-  std::optional<Bytes> bytes() {
+  /// Length-prefixed byte string, borrowed: the span points into the
+  /// reader's buffer and lives as long as that buffer does.
+  std::optional<BytesView> bytes_view() {
     const auto len = u32();
     if (!len || remaining() < *len) {
       failed_ = true;
       return std::nullopt;
     }
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
+    const BytesView out = data_.subspan(pos_, *len);
     pos_ += *len;
     return out;
+  }
+
+  /// Length-prefixed byte string.
+  std::optional<Bytes> bytes() {
+    const auto view = bytes_view();
+    if (!view) return std::nullopt;
+    return Bytes(view->begin(), view->end());
   }
 
   std::optional<std::string> str() {

@@ -9,8 +9,6 @@
 namespace turq::crypto {
 
 namespace {
-constexpr std::size_t kSecretKeyLen = 32;  // h bytes, matching SHA-256 output
-
 bool is_decide_phase(Phase phase) { return phase % 3 == 0; }
 }  // namespace
 
@@ -78,9 +76,8 @@ OneTimeKeyChain OneTimeKeyChain::generate(ProcessId owner, Phase first_phase,
   for (Phase phase = first_phase; phase < first_phase + num_phases; ++phase) {
     const std::size_t slots = VerificationKeyArray::slots_for_phase(phase);
     for (std::size_t s = 0; s < slots; ++s) {
-      Bytes sk(kSecretKeyLen);
+      SecretKey& sk = chain.secrets_.emplace_back();
       for (auto& byte : sk) byte = static_cast<std::uint8_t>(rng.next());
-      chain.secrets_.push_back(std::move(sk));
     }
   }
   std::vector<BytesView> views(chain.secrets_.size());
@@ -93,7 +90,7 @@ OneTimeKeyChain OneTimeKeyChain::generate(ProcessId owner, Phase first_phase,
   return chain;
 }
 
-OneTimeKeyChain OneTimeKeyChain::from_parts(std::vector<Bytes> secrets,
+OneTimeKeyChain OneTimeKeyChain::from_parts(std::vector<SecretKey> secrets,
                                             VerificationKeyArray keys) {
   std::size_t slots = 0;
   for (Phase p = keys.first_phase(); p < keys.first_phase() + keys.num_phases();
@@ -108,7 +105,7 @@ OneTimeKeyChain OneTimeKeyChain::from_parts(std::vector<Bytes> secrets,
   return chain;
 }
 
-const Bytes& OneTimeKeyChain::secret_key(Phase phase, Value v) const {
+const SecretKey& OneTimeKeyChain::secret_key(Phase phase, Value v) const {
   return secrets_[public_keys_.index_of(phase, v)];
 }
 

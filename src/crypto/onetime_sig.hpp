@@ -19,6 +19,7 @@
 // crypto::CostModel (see sha256.hpp for the two-time-domain rules).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,12 @@ namespace turq::crypto {
 
 /// Phase numbers are 1-based, matching the protocol (φ ≥ 1).
 using Phase = std::uint32_t;
+
+/// Length h of a one-time secret key, matching the SHA-256 output.
+inline constexpr std::size_t kSecretKeyLen = 32;
+
+/// One secret key SK[φ][v]: a hash preimage of h bytes.
+using SecretKey = std::array<std::uint8_t, kSecretKeyLen>;
 
 /// True iff value v is in the signing domain for phase φ.
 bool ots_value_allowed(Phase phase, Value v);
@@ -81,21 +88,21 @@ class OneTimeKeyChain {
   /// draws the secrets of many chains in one pass and hashes them in one
   /// 8-way sweep; layouts must match — keys[i] == H(secrets[i]) with the
   /// array's phase tiling.
-  static OneTimeKeyChain from_parts(std::vector<Bytes> secrets,
+  static OneTimeKeyChain from_parts(std::vector<SecretKey> secrets,
                                     VerificationKeyArray keys);
 
   [[nodiscard]] ProcessId owner() const { return public_keys_.owner(); }
   [[nodiscard]] bool covers(Phase phase) const { return public_keys_.covers(phase); }
 
   /// The secret key revealed when broadcasting (phase, value).
-  [[nodiscard]] const Bytes& secret_key(Phase phase, Value v) const;
+  [[nodiscard]] const SecretKey& secret_key(Phase phase, Value v) const;
 
   [[nodiscard]] const VerificationKeyArray& public_keys() const {
     return public_keys_;
   }
 
  private:
-  std::vector<Bytes> secrets_;  // same layout as the VK array
+  std::vector<SecretKey> secrets_;  // same layout as the VK array
   VerificationKeyArray public_keys_;
 };
 

@@ -86,23 +86,23 @@ struct Clause {
   ClauseKind kind = ClauseKind::kIid;
 
   /// Activation windows; empty = always active.
-  std::vector<Window> windows;
+  std::vector<Window> windows{};
   /// Only frames sent by these processes are affected; empty = any sender.
-  std::vector<ProcessId> src_scope;
+  std::vector<ProcessId> src_scope{};
   /// Only receptions at these processes are affected; empty = any receiver.
-  std::vector<ProcessId> dst_scope;
+  std::vector<ProcessId> dst_scope{};
 
   // kIid
   double p = 0.0;
   // kBurst
-  net::GilbertElliott::Params burst;
+  net::GilbertElliott::Params burst{};
   // kCrash: explicit ids and/or the last `crash_count` processes.
-  std::vector<ProcessId> processes;
+  std::vector<ProcessId> processes{};
   std::uint32_t crash_count = 0;
   SimTime crash_at = 0;
   /// When set the silenced processes come back at this time (crash-recover
   /// churn); unset = silenced forever.
-  std::optional<SimTime> recover_at;
+  std::optional<SimTime> recover_at{};
   // kAdaptive: the adversary drops up to floor(fraction · σ) frame
   // receptions per communication round. Values above 1 deliberately exceed
   // the paper's bound (σ-violating campaigns).

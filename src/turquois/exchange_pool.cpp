@@ -129,7 +129,7 @@ void ExchangePool::fill(Prepared& entry) {
                                  : nullptr,
                  .phase = m.phase,
                  .v = m.value,
-                 .revealed_sk = m.auth_sk};
+                 .revealed_sk = m.auth_sk.view()};
   }
   std::vector<std::uint8_t> ok(contained, 0);
   static_assert(sizeof(bool) == sizeof(std::uint8_t));

@@ -43,7 +43,6 @@ std::vector<KeyInfrastructure> KeyInfrastructure::setup_batch(
   for (crypto::Phase p = 1; p < 1 + cfg.phases_per_epoch; ++p) {
     slots += crypto::VerificationKeyArray::slots_for_phase(p);
   }
-  constexpr std::size_t kSecretLen = crypto::kSha256DigestSize;  // h bytes
 
   for (ProcessId id = 0; id < cfg.n; ++id) {
     // One draw pass and ONE batched hash sweep span all instances' chains
@@ -51,9 +50,8 @@ std::vector<KeyInfrastructure> KeyInfrastructure::setup_batch(
     // to key. Instance-major layout; every instance still gets disjoint
     // secrets (a revealed SK must never sign in a sibling instance).
     Rng chain_rng = rng.derive("ots-chain", id);
-    std::vector<Bytes> secrets(instances * slots);
+    std::vector<crypto::SecretKey> secrets(instances * slots);
     for (auto& sk : secrets) {
-      sk.resize(kSecretLen);
       for (auto& byte : sk) byte = static_cast<std::uint8_t>(chain_rng.next());
     }
     std::vector<BytesView> views(secrets.size());
@@ -68,9 +66,8 @@ std::vector<KeyInfrastructure> KeyInfrastructure::setup_batch(
 
     for (std::uint32_t inst = 0; inst < instances; ++inst) {
       const std::size_t base = static_cast<std::size_t>(inst) * slots;
-      std::vector<Bytes> chain_secrets(
-          std::make_move_iterator(secrets.begin() + base),
-          std::make_move_iterator(secrets.begin() + base + slots));
+      std::vector<crypto::SecretKey> chain_secrets(
+          secrets.begin() + base, secrets.begin() + base + slots);
       std::vector<crypto::Digest> chain_vks(vks.begin() + base,
                                             vks.begin() + base + slots);
       KeyInfrastructure& infra = out[inst];

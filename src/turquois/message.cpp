@@ -1,5 +1,7 @@
 #include "turquois/message.hpp"
 
+#include <algorithm>
+
 namespace turq::turquois {
 
 namespace {
@@ -17,7 +19,7 @@ void Message::encode_core(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(value));
   w.u8(static_cast<std::uint8_t>(status));
   w.u8(from_coin ? 1 : 0);
-  w.bytes(auth_sk);
+  w.bytes(auth_sk.view());
 }
 
 std::optional<Message> Message::decode_core(Reader& r) {
@@ -26,20 +28,27 @@ std::optional<Message> Message::decode_core(Reader& r) {
   const auto value_raw = r.u8();
   const auto status_raw = r.u8();
   const auto coin_raw = r.u8();
-  auto sk = r.bytes();
+  const auto sk = r.bytes_view();
   if (!sender || !phase || !value_raw || !status_raw || !coin_raw || !sk) {
     return std::nullopt;
   }
   const auto value = decode_value(*value_raw);
-  if (!value || *status_raw > 1 || *coin_raw > 1 || *phase == 0) {
+  if (!value || *status_raw > 1 || *coin_raw > 1 || *phase == 0 ||
+      (!sk->empty() && sk->size() != crypto::kSecretKeyLen)) {
     return std::nullopt;
   }
-  return Message{.sender = *sender,
-                 .phase = *phase,
-                 .value = *value,
-                 .status = static_cast<Status>(*status_raw),
-                 .from_coin = *coin_raw == 1,
-                 .auth_sk = std::move(*sk)};
+  Message m{.sender = *sender,
+            .phase = *phase,
+            .value = *value,
+            .status = static_cast<Status>(*status_raw),
+            .from_coin = *coin_raw == 1,
+            .auth_sk = {}};
+  if (!sk->empty()) {
+    crypto::SecretKey key{};
+    std::copy(sk->begin(), sk->end(), key.begin());
+    m.auth_sk = key;
+  }
+  return m;
 }
 
 Bytes Datagram::encode() const {
@@ -62,12 +71,12 @@ std::optional<Datagram> Datagram::decode(BytesView bytes) {
   if (!main) return std::nullopt;
   const auto count = r.u16();
   if (!count) return std::nullopt;
-  Datagram d{.main = std::move(*main), .justification = {}};
+  Datagram d{.main = *main, .justification = {}};
   d.justification.reserve(*count);
   for (std::uint16_t i = 0; i < *count; ++i) {
     auto m = Message::decode_core(r);
     if (!m) return std::nullopt;
-    d.justification.push_back(std::move(*m));
+    d.justification.push_back(*m);
   }
   return d;
 }

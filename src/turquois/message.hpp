@@ -21,13 +21,35 @@ namespace turq::turquois {
 
 using crypto::Phase;
 
+/// The one-time secret a message reveals: SK[phase][value], exactly
+/// crypto::kSecretKeyLen bytes, or absent (a Byzantine main message outside
+/// the signing domain goes out unsigned). Held inline so that a Message is
+/// trivially copyable and copying one never allocates.
+class RevealedKey {
+ public:
+  RevealedKey() = default;
+  // Implicit: a chain's secret converts to the key a message reveals.
+  RevealedKey(const crypto::SecretKey& sk) : bytes_(sk), present_(true) {}
+
+  /// The revealed bytes; empty when absent.
+  [[nodiscard]] BytesView view() const {
+    return present_ ? BytesView(bytes_) : BytesView();
+  }
+
+  bool operator==(const RevealedKey&) const = default;
+
+ private:
+  crypto::SecretKey bytes_{};  // all zero while absent
+  bool present_ = false;
+};
+
 struct Message {
   ProcessId sender = kInvalidProcess;
   Phase phase = 1;
   Value value = Value::kZero;
   Status status = Status::kUndecided;
   bool from_coin = false;
-  Bytes auth_sk;  // revealed SK[phase][value]
+  RevealedKey auth_sk;  // revealed SK[phase][value]
 
   /// Serializes the core fields (no justification) — the unit attached as
   /// justification inside other messages.
@@ -35,8 +57,11 @@ struct Message {
 
   /// Exact number of bytes encode_core() appends.
   [[nodiscard]] std::size_t encoded_core_size() const {
-    return 4 + 4 + 1 + 1 + 1 + 4 + auth_sk.size();
+    return 4 + 4 + 1 + 1 + 1 + 4 + auth_sk.view().size();
   }
+  /// Parses one core message. The key is length-prefixed on the wire; any
+  /// length other than 0 (absent) or crypto::kSecretKeyLen is rejected, so
+  /// an over-long key is never truncated into an authentic one.
   static std::optional<Message> decode_core(Reader& r);
 
   /// Identity for deduplication in V: one message per (sender, phase).
@@ -44,11 +69,7 @@ struct Message {
     return (static_cast<std::uint64_t>(sender) << 32) | phase;
   }
 
-  bool operator==(const Message& other) const {
-    return sender == other.sender && phase == other.phase &&
-           value == other.value && status == other.status &&
-           from_coin == other.from_coin && auth_sk == other.auth_sk;
-  }
+  bool operator==(const Message&) const = default;
 };
 
 /// A full datagram: the main message plus its justification set.

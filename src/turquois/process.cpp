@@ -287,12 +287,15 @@ void Process::append_quorum(std::vector<const Message*>& picks, Phase phase,
                             std::optional<Value> value,
                             std::size_t want) const {
   if (phase == 0) return;
-  const auto msgs = value.has_value()
-                        ? view_.messages_at_with_value(phase, *value, want)
-                        : view_.messages_at(phase);
   // The first `want` candidates count even when attach() drops them.
-  const std::size_t take = std::min(want, msgs.size());
-  for (std::size_t i = 0; i < take; ++i) attach(picks, *msgs[i]);
+  std::size_t taken = 0;
+  view_.for_each_at(phase, [&](const Message& m) {
+    if (taken == want || picks.size() == kMaxAttachments) return false;
+    if (value.has_value() && m.value != *value) return true;
+    attach(picks, m);
+    ++taken;
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------- task T2 --

@@ -8,7 +8,7 @@ bool authentic(const KeyInfrastructure& keys, const Config& cfg,
                const Message& m) {
   if (m.sender >= cfg.n) return false;
   return crypto::ots_verify(keys.verification_keys(m.sender), m.phase, m.value,
-                            m.auth_sk);
+                            m.auth_sk.view());
 }
 
 bool VerifyMemo::check(const KeyInfrastructure& keys, const Config& cfg,
@@ -90,7 +90,7 @@ void VerifyMemo::check_batch(const KeyInfrastructure& keys, const Config& cfg,
     checks[j] = {.vk_array = &keys.verification_keys(m.sender),
                  .phase = m.phase,
                  .v = m.value,
-                 .revealed_sk = m.auth_sk};
+                 .revealed_sk = m.auth_sk.view()};
   }
   std::vector<std::uint8_t> ok(misses.size(), 0);
   crypto::ots_verify_batch(checks.data(), checks.size(),

@@ -8,6 +8,7 @@
 // arguments behind the (n+f)/2 thresholds rely on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -19,25 +20,17 @@
 
 namespace turq::turquois {
 
+/// Senders are process ids below SenderSet::kCapacity (Config::validate
+/// caps n at 128, and Process::ingest drops senders >= n before insert).
+///
+/// Pointer validity: a `const Message*` or `const Message&` obtained from
+/// the view stays valid until the next insert() or clear() on it.
 class View {
  public:
-  View() = default;
-
-  // `highest_` points into a map node of `phases_`. Node-based map storage
-  // makes it stable across every mutation the class performs (insert never
-  // invalidates map iterators/references, and nothing here erases), and a
-  // move transfers the nodes themselves, so the defaulted moves keep the
-  // pointer valid. A memberwise *copy*, however, would leave the new view's
-  // `highest_` aimed at the source's nodes — so copies rebind it explicitly.
-  View(const View& other);
-  View& operator=(const View& other);
-  View(View&&) noexcept = default;
-  View& operator=(View&&) noexcept = default;
-
   /// Inserts a validated message. Returns false on duplicate (sender, phase).
   bool insert(const Message& m);
 
-  /// Drops every message and resets the highest-phase cursor.
+  /// Drops every message.
   void clear();
 
   /// True if a message from `sender` at `phase` is already present.
@@ -76,30 +69,43 @@ class View {
   /// The message with the highest phase (ties -> lowest sender), if any.
   [[nodiscard]] const Message* highest_phase_message() const;
 
-  /// All messages at `phase` (for justification assembly).
+  /// Calls `fn(const Message&)` on each message at `phase` in ascending
+  /// sender order, until `fn` returns false. Justification picks walk the
+  /// book in place this way; their order, and so every golden byte,
+  /// depends on it.
+  template <typename Fn>
+  void for_each_at(Phase phase, Fn&& fn) const {
+    const auto it = phases_.find(phase);
+    if (it == phases_.end()) return;
+    const PhaseBook& book = it->second;
+    for (std::uint32_t s = book.senders.next(0); s < SenderSet::kCapacity;
+         s = book.senders.next(s + 1)) {
+      if (!fn(book.messages[book.slot[s]])) return;
+    }
+  }
+
+  /// All messages at `phase`, in ascending sender order.
   [[nodiscard]] std::vector<const Message*> messages_at(Phase phase) const;
 
-  /// Up to `limit` messages at `phase` carrying value v.
+  /// Up to `limit` messages at `phase` carrying value v, in ascending
+  /// sender order.
   [[nodiscard]] std::vector<const Message*> messages_at_with_value(
       Phase phase, Value v, std::size_t limit) const;
 
   [[nodiscard]] std::size_t size() const { return total_; }
 
  private:
+  /// One phase's messages. Every book in `phases_` holds at least one.
   struct PhaseBook {
-    std::map<ProcessId, Message> by_sender;
-    /// Mirrors by_sender's keys below SenderSet::kCapacity — has() is the
-    /// hottest query (every ingest gate at every receiver) and the bitset
-    /// answers it without walking the tree. Larger ids (possible only in
-    /// hand-built unit-test views; deployments cap n at 128) stay on the
-    /// map path.
+    std::vector<Message> messages;  // arrival order
+    /// sender -> index into `messages`, meaningful where `senders` has it.
+    std::array<std::uint8_t, SenderSet::kCapacity> slot{};
     SenderSet senders;
-    std::size_t value_count[3] = {0, 0, 0};
+    std::array<std::size_t, 3> value_count{};
   };
 
   std::map<Phase, PhaseBook> phases_;
   std::size_t total_ = 0;
-  const Message* highest_ = nullptr;
 };
 
 }  // namespace turq::turquois

@@ -146,7 +146,7 @@ TEST_P(Sha256BatchTest, OtsBatchMatchesScalar) {
   const OneTimeKeyChain chain = OneTimeKeyChain::generate(0, 1, 9, rng);
   const VerificationKeyArray& vks = chain.public_keys();
   std::vector<OtsCheck> checks;
-  std::vector<Bytes> tampered;
+  std::vector<SecretKey> tampered;
   tampered.reserve(32);
   for (Phase phase = 1; phase <= 9; ++phase) {
     for (const Value v : {Value::kZero, Value::kOne, Value::kBottom}) {

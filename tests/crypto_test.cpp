@@ -382,7 +382,7 @@ TEST(OneTimeSig, RevealForOtherSlotRejected) {
   Rng rng(23);
   const auto chain = OneTimeKeyChain::generate(4, 1, 12, rng);
   // Key for (5, 1) does not authenticate (5, 0) or (6, 1).
-  const Bytes& sk = chain.secret_key(5, Value::kOne);
+  const SecretKey& sk = chain.secret_key(5, Value::kOne);
   EXPECT_FALSE(ots_verify(chain.public_keys(), 5, Value::kZero, sk));
   EXPECT_FALSE(ots_verify(chain.public_keys(), 6, Value::kOne, sk));
 }

@@ -463,8 +463,9 @@ TEST(CannedPlans, FailureFreeRunExportsNoSigma) {
 // ------------------------------------------------------- golden campaign --
 
 // Regenerate after an intentional format change with:
-//   UPDATE_CAMPAIGN_GOLDEN=1 ./tests/faultplan_test \
+//   UPDATE_CAMPAIGN_GOLDEN=1 ./tests/faultplan_test
 //       --gtest_filter=Campaign.GoldenCellReport
+// (one shell command, split here for width).
 TEST(Campaign, GoldenCellReport) {
   // Mirrors one cell of `turquois_campaign --quick --sizes 4 --plan
   // adaptive --seed 7`: any byte drift in the per-cell report (outside the

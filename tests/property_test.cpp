@@ -1,10 +1,13 @@
 // Property-based tests: randomized inputs against structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/sender_set.hpp"
 #include "common/serialize.hpp"
 #include "net/medium.hpp"
 #include "sim/simulator.hpp"
@@ -66,7 +69,7 @@ TEST_P(ViewFuzz, CountsAlwaysConsistent) {
 
 TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
   // Stresses the paths the n<=16 fuzz above never reaches: sender ids
-  // straddling the 64-bit bitmask fast path of count_phase_at_least,
+  // straddling the two words of the SenderSet behind count_phase_at_least,
   // phases at the max_phase end of the range, and kDecided/from_coin
   // header mixes (which must not affect any count).
   Rng rng(GetParam());
@@ -108,7 +111,7 @@ TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
   }
 
   // count_phase_at_least must agree with a reference distinct-sender scan
-  // across both the <64 bitmask path and the >=64 vector fallback.
+  // across both bitset words (ids < 64 and ids >= 64).
   for (const turquois::Phase cutoff :
        {turquois::Phase{1}, turquois::Phase{5}, kMaxPhase - 7, kMaxPhase}) {
     std::set<ProcessId> senders;
@@ -121,8 +124,8 @@ TEST_P(ViewFuzz, WideSendersExtremePhasesAndDecidedMixes) {
 }
 
 TEST_P(ViewFuzz, HighestPointerSurvivesCopyMoveClearInterleavings) {
-  // `highest_` points into the view's own map nodes; copies must rebind it
-  // and moves/clears must keep it coherent. Hammer random interleavings of
+  // highest_phase_message() is derived from the view's own phase books;
+  // copies, moves and clears must keep it coherent. Hammer interleavings of
   // insert / copy-construct / copy-assign / move / clear and compare the
   // cursor against a reference recomputation after every step.
   Rng rng(GetParam());
@@ -200,6 +203,60 @@ TEST_P(ViewFuzz, HighestPointerSurvivesCopyMoveClearInterleavings) {
   }
 }
 
+TEST_P(ViewFuzz, MessageWalksMatchReferenceInAscendingSenderOrder) {
+  // Books keep messages in arrival order; messages_at and
+  // messages_at_with_value must still return them in ascending sender
+  // order, which the justification picks (and so the goldens) depend on.
+  // Phases 1-3 receive every id 0..127 in a shuffled order, phases 4-6 a
+  // random subset; the limits include one reached mid-book.
+  Rng rng(GetParam());
+  turquois::View view;
+  std::map<turquois::Phase, std::map<ProcessId, turquois::Message>> reference;
+  for (turquois::Phase phase = 1; phase <= 6; ++phase) {
+    std::vector<ProcessId> ids(SenderSet::kCapacity);
+    for (ProcessId id = 0; id < ids.size(); ++id) ids[id] = id;
+    for (std::size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng.uniform(i + 1)]);
+    }
+    for (const ProcessId id : ids) {
+      if (phase > 3 && rng.coin()) continue;
+      crypto::SecretKey key{};
+      for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
+      const turquois::Message m{.sender = id,
+                                .phase = phase,
+                                .value = static_cast<Value>(rng.uniform(3)),
+                                .status = Status::kUndecided,
+                                .from_coin = rng.coin(),
+                                .auth_sk = key};
+      ASSERT_TRUE(view.insert(m));
+      reference[phase].emplace(id, m);
+    }
+  }
+
+  for (const auto& [phase, book] : reference) {
+    const auto all = view.messages_at(phase);
+    ASSERT_EQ(all.size(), book.size()) << "phase " << phase;
+    std::size_t i = 0;
+    for (const auto& [sender, m] : book) EXPECT_EQ(*all[i++], m);
+
+    for (int raw = 0; raw < 3; ++raw) {
+      const Value v = static_cast<Value>(raw);
+      std::vector<turquois::Message> matching;
+      for (const auto& [sender, m] : book) {
+        if (m.value == v) matching.push_back(m);
+      }
+      for (const std::size_t limit :
+           {std::size_t{1}, matching.size() / 2, matching.size(),
+            matching.size() + 5}) {
+        const auto got = view.messages_at_with_value(phase, v, limit);
+        const std::size_t want = std::min(limit, matching.size());
+        ASSERT_EQ(got.size(), want) << "phase " << phase << " limit " << limit;
+        for (std::size_t j = 0; j < want; ++j) EXPECT_EQ(*got[j], matching[j]);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewFuzz,
                          ::testing::Range<std::uint64_t>(0, 6));
 
@@ -230,7 +287,10 @@ TEST_P(CodecFuzz, TruncationsOfValidDatagramsFailCleanly) {
                              .value = Value::kOne,
                              .status = Status::kUndecided,
                              .from_coin = false,
-                             .auth_sk = Bytes(32, 0x42)};
+                             .auth_sk = {}};
+  crypto::SecretKey key{};
+  key.fill(0x42);
+  d.main.auth_sk = key;
   for (int j = 0; j < 3; ++j) {
     d.justification.push_back(d.main);
     d.justification.back().sender = static_cast<ProcessId>(j);

@@ -239,6 +239,9 @@ Value decide_over_udp(std::uint32_t n) {
       audit::AuditConfig{.n = n, .f = cfg.f, .k = cfg.k, .phase_bound = 0});
   std::uint32_t decided = 0;
   std::vector<Value> decisions(n, Value::kBottom);
+  // Each Process keeps a reference to its cost model, so the model must
+  // outlive `procs` (declared after it, destroyed before it).
+  const crypto::CostModel costs{};
   std::vector<std::unique_ptr<turquois::Process>> procs;
   for (ProcessId id = 0; id < n; ++id) {
     turquois::ProcessHooks hooks;
@@ -251,8 +254,8 @@ Value decide_over_udp(std::uint32_t n) {
       auditor.on_phase(id, phase, at);
     };
     procs.push_back(std::make_unique<turquois::Process>(
-        rt, *ports[id], cfg, keys, id, Rng::stream(99, "proc", id),
-        crypto::CostModel{}, std::move(hooks)));
+        rt, *ports[id], cfg, keys, id, Rng::stream(99, "proc", id), costs,
+        std::move(hooks)));
   }
   for (ProcessId id = 0; id < n; ++id) {
     auditor.on_propose(id, Value::kOne, rt.now());

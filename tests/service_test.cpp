@@ -143,7 +143,8 @@ TEST(KeyInfraBatch, BatchedSetupKeysVerifyAndStayDisjoint) {
       EXPECT_TRUE(crypto::verify_key_array(infra.signed_array(id),
                                            infra.rsa_public(id)));
       // ...and a revealed secret authenticates its (phase, value) slot.
-      const Bytes& sk = infra.chain(id).secret_key(2, Value::kOne);
+      const crypto::SecretKey& sk =
+          infra.chain(id).secret_key(2, Value::kOne);
       EXPECT_TRUE(
           crypto::ots_verify(infra.verification_keys(id), 2, Value::kOne, sk));
     }
@@ -154,8 +155,10 @@ TEST(KeyInfraBatch, BatchedSetupKeysVerifyAndStayDisjoint) {
   // revealed SK must never authenticate the same slot of instance 1.
   for (ProcessId id = 0; id < 4; ++id) {
     EXPECT_EQ(batch[0].rsa_public(id).n, batch[1].rsa_public(id).n);
-    const Bytes& sk0 = batch[0].chain(id).secret_key(2, Value::kOne);
-    const Bytes& sk1 = batch[1].chain(id).secret_key(2, Value::kOne);
+    const crypto::SecretKey& sk0 =
+        batch[0].chain(id).secret_key(2, Value::kOne);
+    const crypto::SecretKey& sk1 =
+        batch[1].chain(id).secret_key(2, Value::kOne);
     EXPECT_NE(sk0, sk1);
     EXPECT_FALSE(
         crypto::ots_verify(batch[1].verification_keys(id), 2, Value::kOne,

@@ -194,8 +194,9 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheRun) {
 
 // The golden file pins the full trace_inspect report for a tiny n=4 run.
 // Regenerate after an intentional format change with:
-//   UPDATE_TRACE_GOLDEN=1 ./tests/trace_test \
+//   UPDATE_TRACE_GOLDEN=1 ./tests/trace_test
 //       --gtest_filter=TraceInspect.GoldenReport
+// (one shell command, split here for width).
 TEST(TraceInspect, GoldenReport) {
 #if !TURQ_TRACE_ENABLED
   GTEST_SKIP() << "built with TURQ_TRACE_DISABLED";

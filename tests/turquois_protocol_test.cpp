@@ -356,6 +356,24 @@ TEST(TurquoisByzantine, StragglerCatchesUpToDecision) {
   EXPECT_EQ(cluster.process(straggler).decision(), Value::kOne);
 }
 
+TEST(TurquoisByzantine, UnsignedMainMessageCountsAsAuthFailure) {
+  // An insider that pushes ⊥ into phase 1 leaves the one-time key domain,
+  // so its main message goes out with no revealed key. Every correct
+  // receiver must count it as an authentication failure, never accept it.
+  Cluster cluster(4, 11);
+  cluster.process(3).set_mutator([](Message& m) {
+    m.phase = 1;
+    m.value = Value::kBottom;
+  });
+  cluster.propose_all({Value::kOne, Value::kOne, Value::kOne, Value::kOne});
+  const std::vector<ProcessId> correct = {0, 1, 2};
+  ASSERT_TRUE(cluster.run_until_decided(correct));
+  for (const ProcessId id : correct) {
+    EXPECT_GE(cluster.process(id).stats().auth_failures, 1u) << "p" << id;
+    EXPECT_EQ(cluster.process(id).decision(), Value::kOne) << "p" << id;
+  }
+}
+
 TEST(TurquoisByzantine, ReplayedStatusCannotForgeDecision) {
   // The one-time signature does not cover the status field (§6.1 caveat).
   // Construct the replay directly against the validator: an authentic

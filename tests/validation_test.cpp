@@ -1,7 +1,11 @@
 // Unit tests for the Turquois view (set V) and the §6 validation rules.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/rng.hpp"
+#include "common/sender_set.hpp"
+#include "common/serialize.hpp"
 #include "turquois/config.hpp"
 #include "turquois/key_infra.hpp"
 #include "turquois/message.hpp"
@@ -19,6 +23,13 @@ Message msg(ProcessId sender, Phase phase, Value v,
                  .status = status,
                  .from_coin = from_coin,
                  .auth_sk = {}};
+}
+
+/// A wire-valid key of crypto::kSecretKeyLen copies of `byte`.
+crypto::SecretKey filled_key(std::uint8_t byte) {
+  crypto::SecretKey key{};
+  key.fill(byte);
+  return key;
 }
 
 /// Inserts one message per sender id starting at `first_sender`.
@@ -104,6 +115,43 @@ TEST(View, CopyRebindsHighestAndClearResets) {
   copy.insert(msg(7, 3, Value::kOne));
   ASSERT_NE(copy.highest_phase_message(), nullptr);
   EXPECT_EQ(copy.highest_phase_message()->sender, 7u);
+}
+
+TEST(View, HighestSurvivesBookGrowthCopyMoveAndClear) {
+  // 128 inserts into one phase book in descending sender order: the book
+  // reallocates several times and the lowest sender changes on every
+  // insert, so a cached pointer or slot would go stale.
+  View v;
+  v.insert(msg(3, 2, Value::kZero));
+  for (ProcessId s = SenderSet::kCapacity; s-- > 0;) {
+    v.insert(msg(s, 5, s % 2 == 0 ? Value::kOne : Value::kZero));
+    const Message* highest = v.highest_phase_message();
+    ASSERT_NE(highest, nullptr);
+    EXPECT_EQ(*highest, msg(s, 5, s % 2 == 0 ? Value::kOne : Value::kZero));
+  }
+  EXPECT_EQ(v.count_phase(5), SenderSet::kCapacity);
+
+  const View copy(v);
+  ASSERT_NE(copy.highest_phase_message(), nullptr);
+  EXPECT_NE(copy.highest_phase_message(), v.highest_phase_message());
+  EXPECT_EQ(*copy.highest_phase_message(), msg(0, 5, Value::kOne));
+
+  View moved(std::move(v));
+  ASSERT_NE(moved.highest_phase_message(), nullptr);
+  EXPECT_EQ(*moved.highest_phase_message(), msg(0, 5, Value::kOne));
+  View assigned;
+  assigned = std::move(moved);
+  ASSERT_NE(assigned.highest_phase_message(), nullptr);
+  EXPECT_EQ(*assigned.highest_phase_message(), msg(0, 5, Value::kOne));
+
+  assigned.clear();
+  EXPECT_EQ(assigned.highest_phase_message(), nullptr);
+  assigned.insert(msg(9, 1, Value::kZero));
+  ASSERT_NE(assigned.highest_phase_message(), nullptr);
+  EXPECT_EQ(*assigned.highest_phase_message(), msg(9, 1, Value::kZero));
+  // The copy is independent of everything done to its source.
+  EXPECT_EQ(copy.size(), SenderSet::kCapacity + 1);
+  EXPECT_EQ(*copy.highest_phase_message(), msg(0, 5, Value::kOne));
 }
 
 TEST(View, HighestPhaseMessage) {
@@ -399,7 +447,7 @@ TEST(MessageCodec, DatagramRoundTrip) {
   Datagram d;
   d.main = msg(3, 7, Value::kBottom, Status::kUndecided, false);
   d.main.phase = 6;  // ⊥ only exists in DECIDE phases
-  d.main.auth_sk = Bytes(32, 0xAB);
+  d.main.auth_sk = filled_key(0xAB);
   d.justification.push_back(msg(1, 5, Value::kOne));
   d.justification.push_back(msg(2, 5, Value::kZero, Status::kDecided, true));
 
@@ -409,6 +457,63 @@ TEST(MessageCodec, DatagramRoundTrip) {
   ASSERT_EQ(decoded->justification.size(), 2u);
   EXPECT_EQ(decoded->justification[0], d.justification[0]);
   EXPECT_EQ(decoded->justification[1], d.justification[1]);
+}
+
+static_assert(std::is_trivially_copyable_v<Message>,
+              "a Message copy must never allocate");
+
+/// `d` re-encoded with its main message's key field replaced by `key`,
+/// whatever its length (Datagram::encode only writes 0 or 32 bytes). The
+/// key's u32 length sits after tag(1) + sender(4) + phase(4) + 3 bytes.
+Bytes with_main_key_bytes(const Datagram& d, BytesView key) {
+  const Bytes enc = d.encode();
+  const BytesView rest = BytesView(enc).subspan(12);
+  Reader r(rest);
+  const auto old_key = r.bytes_view();
+  Writer w;
+  w.raw(BytesView(enc).first(12));
+  w.bytes(key);
+  w.raw(rest.subspan(4 + old_key->size()));
+  return w.take();
+}
+
+TEST(MessageCodec, RevealedKeyLengths) {
+  const Config cfg = Config::for_group(4);
+  Rng rng(3);
+  const KeyInfrastructure keys = KeyInfrastructure::setup(cfg, rng);
+  const crypto::SecretKey& secret = keys.chain(2).secret_key(5, Value::kOne);
+
+  // Length 0 (absent) and 32 round-trip.
+  Datagram d;
+  d.main = msg(2, 5, Value::kOne);
+  d.justification.push_back(msg(1, 4, Value::kZero));
+  d.justification.back().auth_sk = keys.chain(1).secret_key(4, Value::kZero);
+  const auto unsigned_main = Datagram::decode(d.encode());
+  ASSERT_TRUE(unsigned_main.has_value());
+  EXPECT_EQ(unsigned_main->main, d.main);
+  EXPECT_TRUE(unsigned_main->main.auth_sk.view().empty());
+  EXPECT_EQ(unsigned_main->justification, d.justification);
+
+  Datagram signed_d = d;
+  signed_d.main.auth_sk = secret;
+  const auto decoded = Datagram::decode(signed_d.encode());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->main, signed_d.main);
+  EXPECT_EQ(decoded->justification, signed_d.justification);
+  EXPECT_TRUE(authentic(keys, cfg, decoded->main));
+  EXPECT_EQ(with_main_key_bytes(d, secret), signed_d.encode());
+
+  // Any other length is malformed: 31, 33, and the real secret followed by
+  // 32 extra bytes, which must not be truncated into an authentic key.
+  Bytes padded(secret.begin(), secret.end());
+  padded.insert(padded.end(), 32, 0x5A);
+  EXPECT_FALSE(crypto::ots_verify(keys.verification_keys(2), 5, Value::kOne,
+                                  padded));
+  for (const std::size_t len : {31, 33, 64}) {
+    Bytes key(padded.begin(), padded.begin() + static_cast<long>(len));
+    EXPECT_FALSE(Datagram::decode(with_main_key_bytes(d, key)).has_value())
+        << "key length " << len;
+  }
 }
 
 TEST(MessageCodec, RejectsGarbage) {
