@@ -16,6 +16,7 @@
 #include "net/broadcast_endpoint.hpp"
 #include "net/fault_injector.hpp"
 #include "net/medium.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -46,20 +47,23 @@ int main() {
   crypto::CostModel costs;
 
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
   std::vector<std::unique_ptr<turquois::Process>> team;
   for (ProcessId id = 0; id < kTeamSize; ++id) {
     cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
     endpoints.push_back(std::make_unique<net::BroadcastEndpoint>(sim, medium, id));
-    team.push_back(std::make_unique<turquois::Process>(
-        sim, *endpoints.back(), *cpus.back(), cfg, keys, id,
-        root.derive("member", id), costs));
-    team.back()->set_on_decide([id](Value v, turquois::Phase, SimTime at) {
+    turquois::ProcessHooks hooks;
+    hooks.on_decide = [id](Value v, turquois::Phase, SimTime at) {
       std::printf("  t=%7.1f ms  member %u commits to %s\n",
                   to_milliseconds(at), id,
                   v == Value::kOne ? "SWITCH to backup channel"
                                    : "STAY on current channel");
-    });
+    };
+    team.push_back(std::make_unique<turquois::Process>(
+        *runtimes.back(), *endpoints.back(), cfg, keys, id,
+        root.derive("member", id), costs, std::move(hooks)));
   }
 
   // Members with working spectrum analyzers (7 of 10) vote to switch; the

@@ -11,6 +11,7 @@
 #include "crypto/cost_model.hpp"
 #include "net/broadcast_endpoint.hpp"
 #include "net/medium.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "turquois/config.hpp"
@@ -38,23 +39,25 @@ int main() {
   //    RSA-signed verification keys, distributed before the run (§6.1).
   const auto keys = turquois::KeyInfrastructure::setup(cfg, root);
 
-  // 5. One process per node, each with its own virtual CPU and UDP-style
-  //    broadcast endpoint.
+  // 5. One process per node, each with its own virtual CPU (driven through
+  //    a simulated runtime) and UDP-style broadcast endpoint.
   crypto::CostModel costs;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
   std::vector<std::unique_ptr<turquois::Process>> processes;
   for (ProcessId id = 0; id < cfg.n; ++id) {
     cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
     endpoints.push_back(std::make_unique<net::BroadcastEndpoint>(sim, medium, id));
+    turquois::ProcessHooks hooks;
+    hooks.on_decide = [id](Value v, turquois::Phase phase, SimTime at) {
+      std::printf("p%u decided %s at phase %u, t = %.2f ms\n", id,
+                  to_string(v).c_str(), phase, to_milliseconds(at));
+    };
     processes.push_back(std::make_unique<turquois::Process>(
-        sim, *endpoints.back(), *cpus.back(), cfg, keys, id,
-        root.derive("process", id), costs));
-    processes.back()->set_on_decide(
-        [id](Value v, turquois::Phase phase, SimTime at) {
-          std::printf("p%u decided %s at phase %u, t = %.2f ms\n", id,
-                      to_string(v).c_str(), phase, to_milliseconds(at));
-        });
+        *runtimes.back(), *endpoints.back(), cfg, keys, id,
+        root.derive("process", id), costs, std::move(hooks)));
   }
 
   // 6. Divergent proposals: odd ids propose 1, even ids propose 0.

@@ -38,11 +38,6 @@
 #include "net/reliable_channel.hpp"
 #include "runtime/runtime.hpp"
 
-namespace turq::sim {
-class Simulator;
-class VirtualCpu;
-}  // namespace turq::sim
-
 namespace turq::abba {
 
 struct Config {
@@ -106,22 +101,11 @@ class Process {
           const crypto::CostModel& costs,
           Strategy strategy = Strategy::kHonest, ProcessHooks hooks = {});
 
-  /// Deprecated sim-bound shim (kept for one PR): wraps `simulator` + `cpu`
-  /// in an owned runtime::SimRuntime.
-  Process(sim::Simulator& simulator, net::TcpHost& transport,
-          sim::VirtualCpu& cpu, const Config& config, const Dealer& dealer,
-          ProcessId id, Rng rng, const crypto::CostModel& costs,
-          Strategy strategy = Strategy::kHonest);
-
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
   void propose(Value initial);
   void crash();
-
-  // Deprecated setter shims (kept for one PR): pass ProcessHooks instead.
-  void set_on_decide(DecideHandler handler) { on_decide_ = std::move(handler); }
-  void set_on_round(RoundHandler handler) { on_round_ = std::move(handler); }
 
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] bool decided() const { return decision_.has_value(); }
@@ -192,14 +176,6 @@ class Process {
   [[nodiscard]] std::optional<crypto::ThresholdShare> decode_share(
       Reader& r) const;
 
-  /// Delegation target of the public constructors: exactly one of `owned`
-  /// (a shim-built SimRuntime) or `rt` is non-null.
-  Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
-          net::TcpHost& transport, const Config& config, const Dealer& dealer,
-          ProcessId id, Rng rng, const crypto::CostModel& costs,
-          Strategy strategy, ProcessHooks hooks);
-
-  std::unique_ptr<runtime::Runtime> owned_rt_;  // declared before rt_
   runtime::Runtime& rt_;
   net::TcpHost& transport_;
   Config cfg_;

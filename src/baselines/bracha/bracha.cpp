@@ -5,17 +5,15 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/serialize.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "trace/trace.hpp"
 
 namespace turq::bracha {
 
-Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
-                 net::TcpHost& transport, const Config& config, ProcessId id,
-                 Rng rng, const crypto::CostModel& costs, Strategy strategy,
+Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
+                 const Config& config, ProcessId id, Rng rng,
+                 const crypto::CostModel& costs, Strategy strategy,
                  ProcessHooks hooks)
-    : owned_rt_(std::move(owned)),
-      rt_(rt != nullptr ? *rt : *owned_rt_),
+    : rt_(rt),
       transport_(transport),
       cfg_(config),
       id_(id),
@@ -28,19 +26,6 @@ Process::Process(std::unique_ptr<runtime::Runtime> owned, runtime::Runtime* rt,
     on_message(src, payload);
   });
 }
-
-Process::Process(runtime::Runtime& rt, net::TcpHost& transport,
-                 const Config& config, ProcessId id, Rng rng,
-                 const crypto::CostModel& costs, Strategy strategy,
-                 ProcessHooks hooks)
-    : Process(nullptr, &rt, transport, config, id, rng, costs, strategy,
-              std::move(hooks)) {}
-
-Process::Process(sim::Simulator& simulator, net::TcpHost& transport,
-                 sim::VirtualCpu& cpu, const Config& config, ProcessId id,
-                 Rng rng, const crypto::CostModel& costs, Strategy strategy)
-    : Process(std::make_unique<runtime::SimRuntime>(simulator, cpu), nullptr,
-              transport, config, id, rng, costs, strategy, ProcessHooks{}) {}
 
 void Process::propose(Value initial) {
   TURQ_ASSERT(is_binary(initial));

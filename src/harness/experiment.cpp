@@ -13,29 +13,15 @@
 #include "common/logging.hpp"
 #include "harness/scheduler.hpp"
 #include "net/broadcast_endpoint.hpp"
-#include "net/fault_injector.hpp"
-#include "net/reliable_channel.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_pool.hpp"
 #include "trace/trace.hpp"
 #include "turquois/exchange_pool.hpp"
-#include "turquois/key_infra.hpp"
 #include "turquois/process.hpp"
 
 namespace turq::harness {
-
-std::string to_string(Protocol p) {
-  switch (p) {
-    case Protocol::kTurquois: return "Turquois";
-    case Protocol::kBracha: return "Bracha";
-    case Protocol::kAbba: return "ABBA";
-    case Protocol::kCrain: return "Crain";
-    case Protocol::kAbsMac: return "AbsMac";
-  }
-  return "?";
-}
 
 std::string to_string(ProposalDist d) {
   return d == ProposalDist::kUnanimous ? "unanimous" : "divergent";
@@ -83,37 +69,22 @@ struct Deployment {
   std::uint64_t rep_index = 0;
   std::unique_ptr<net::Medium> medium;
   std::unique_ptr<spatial::Topology> topology;  // set iff spatial.active()
-  std::unique_ptr<spatial::RelayFabric> relay;  // Turquois multi-hop only
+  std::unique_ptr<spatial::RelayFabric> relay;  // broadcast multi-hop only
   faultplan::BuiltPlan faults;  // injector tree + optional σ meter
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
   std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<ProcessId> correct;   // processes expected to decide
   std::vector<ProcessId> faulty;    // crashed or Byzantine
-
-  // Polled through type-erased accessors set up by the builders.
-  std::vector<std::function<bool()>> decided;
-  std::vector<std::function<std::optional<Value>()>> decision;
-  std::vector<std::function<std::uint64_t()>> sent;
   std::vector<SimTime> start_at;
   std::vector<std::optional<SimTime>> decide_at;
-
-  // Consensus auditor (nullptr when ScenarioConfig::audit is off). The
-  // builders feed the per-process hooks; `audit_finalize` runs the
-  // protocol-specific post-run checks (e.g. the Turquois decide-quorum view
-  // scan) before collect() closes the report.
+  // Consensus auditor (nullptr when ScenarioConfig::audit is off), fed by
+  // the correct processes' hooks.
   std::unique_ptr<audit::ConsensusAuditor> auditor;
-  std::function<void(audit::ConsensusAuditor&)> audit_finalize;
-};
 
-void setup_auditor(const ScenarioConfig& cfg, Deployment& d) {
-  if (!cfg.audit) return;
-  audit::AuditConfig acfg;
-  acfg.n = cfg.n;
-  acfg.f = cfg.f();
-  acfg.k = cfg.k();
-  acfg.phase_bound = cfg.audit_phase_bound;
-  d.auditor = std::make_unique<audit::ConsensusAuditor>(acfg);
-}
+  [[nodiscard]] bool is_faulty(ProcessId id) const {
+    return std::find(faulty.begin(), faulty.end(), id) != faulty.end();
+  }
+};
 
 void split_roles(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
                  Deployment& d) {
@@ -177,15 +148,21 @@ void setup_medium(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
   }
 }
 
-RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
+/// Drives the simulation in 1 ms slices until every correct process has
+/// decided (checked at each slice boundary) or the deadline passes, then
+/// scores the run: decisions, channel, σ and spatial counters, the
+/// auditor's verdict and the repetition's trace counters. Reads the
+/// processes directly, once per correct process per slice.
+template <class Row>
+RunResult collect(const ScenarioConfig& cfg, Deployment& d, const Row& row,
+                  const std::vector<std::unique_ptr<typename Row::Process>>&
+                      procs) {
   RunResult result;
-  // Drive the simulation until every correct process decides or timeout.
   const SimTime deadline = cfg.run_timeout;
   while (d.sim.now() < deadline) {
     bool all = true;
-    for (std::size_t i = 0; i < d.correct.size(); ++i) {
-      const ProcessId id = d.correct[i];
-      if (d.decided[id]()) {
+    for (const ProcessId id : d.correct) {
+      if (procs[id]->decided()) {
         if (!d.decide_at[id].has_value()) d.decide_at[id] = d.sim.now();
       } else {
         all = false;
@@ -197,37 +174,31 @@ RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
   }
 
   std::optional<Value> agreed;
-  std::size_t decided_count = 0;
   result.all_correct_decided = true;
   for (const ProcessId id : d.correct) {
-    if (!d.decided[id]()) {
+    const typename Row::Process& p = *procs[id];
+    result.app_messages += Row::sent(p);
+    if (!p.decided()) {
       result.all_correct_decided = false;
       continue;
     }
-    ++decided_count;
-    const auto v = d.decision[id]();
-    TURQ_ASSERT(v.has_value());
-    if (agreed.has_value() && *agreed != *v) result.agreement_held = false;
-    agreed = *v;
+    const Value v = p.decision();
+    if (agreed.has_value() && *agreed != v) result.agreement_held = false;
+    agreed = v;
     // decide_at may not have been sampled if decision landed in the last
     // slice; fall back to now.
     const SimTime at = d.decide_at[id].value_or(d.sim.now());
     result.latencies_ms.push_back(to_milliseconds(at - d.start_at[id]));
   }
-  result.k_decided = decided_count >= cfg.k();
+  result.k_decided = result.latencies_ms.size() >= cfg.k();
   result.decision = agreed;
-
   // Validity: under the unanimous load every correct process proposed 1.
-  if (cfg.distribution == ProposalDist::kUnanimous && agreed.has_value() &&
-      *agreed != Value::kOne) {
-    result.validity_held = false;
-  }
+  result.validity_held = cfg.distribution != ProposalDist::kUnanimous ||
+                         agreed.value_or(Value::kOne) == Value::kOne;
 
+  // Everything below is read at the instant polling stopped.
   result.medium = d.medium->stats();
-  for (const ProcessId id : d.correct) result.app_messages += d.sent[id]();
-  if (d.faults.sigma != nullptr) {
-    result.sigma = d.faults.sigma->summary();
-  }
+  if (d.faults.sigma != nullptr) result.sigma = d.faults.sigma->summary();
   if (d.topology != nullptr) {
     // Sample connectivity up to the end of the run so a quiet tail (e.g.
     // everyone decided, no frames moving) still contributes samples.
@@ -245,19 +216,19 @@ RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
   }
 
   if (d.auditor != nullptr) {
-    if (d.audit_finalize) d.audit_finalize(*d.auditor);
+    row.check_final_state(*d.auditor, d, procs);
     result.audit = d.auditor->finish(result.sigma, result.all_correct_decided);
   }
 
 #if TURQ_TRACE_ENABLED
   if (trace::Tracer* t = trace::current()) {
-    t->metrics().merge(d.medium->metrics());
-    if (d.topology != nullptr) t->metrics().merge(d.topology->metrics());
-    if (d.relay != nullptr) t->metrics().merge(d.relay->metrics());
-    t->metrics().counter("app.messages").add(result.app_messages);
+    auto& m = t->metrics();
+    m.merge(d.medium->metrics());
+    if (d.topology != nullptr) m.merge(d.topology->metrics());
+    if (d.relay != nullptr) m.merge(d.relay->metrics());
+    m.counter("app.messages").add(result.app_messages);
     if (result.sigma.has_value()) {
       const faultplan::SigmaSummary& s = *result.sigma;
-      auto& m = t->metrics();
       m.counter("sigma.tracked_reps").add(1);
       m.counter("sigma.bound").add(s.bound);
       m.counter("sigma.rounds").add(static_cast<std::int64_t>(s.rounds));
@@ -267,7 +238,6 @@ RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
       m.counter("sigma.eligible_reps").add(s.liveness_eligible() ? 1 : 0);
     }
     if (result.audit.has_value()) {
-      auto& m = t->metrics();
       m.counter("audit.checked_reps").add(1);
       m.counter("audit.violations")
           .add(static_cast<std::int64_t>(result.audit->violations.size()));
@@ -285,184 +255,58 @@ RunResult collect(const ScenarioConfig& cfg, Deployment& d) {
   return result;
 }
 
-// ----------------------------------------------------------- per protocol --
+// ---------------------------------------------------------- protocol rows --
+//
+// A row is what differs between protocols: its transport (the base it
+// derives from), its per-repetition state (config, keys, dealer), how the
+// Byzantine role maps onto a strategy or mutator, its process constructor,
+// what make_scenario_setup may hoist, and its extras. deploy<Row> below
+// owns everything else. Rows are built in place and never move: processes
+// keep references into them.
+struct RowBase {
+  RowBase() = default;
+  RowBase(const RowBase&) = delete;
+  RowBase& operator=(const RowBase&) = delete;
 
-RunResult run_turquois(const ScenarioConfig& cfg,
-                       const faultplan::FaultPlan& plan, Rng root,
-                       std::uint64_t rep_index, const ScenarioSetup* setup) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  turquois::Config tcfg = turquois::Config::for_group(cfg.n);
-  tcfg.tick_interval = cfg.tick_interval;
-  tcfg.tick_jitter = cfg.tick_jitter;
-  // Reuse the hoisted key infrastructure when the scheduler provides one;
-  // KeyInfrastructure::setup only derive()s from root (never consumes it),
-  // so skipping it leaves every other stream of this repetition untouched.
-  std::optional<turquois::KeyInfrastructure> local_keys;
-  if (setup == nullptr || !setup->turquois_keys.has_value()) {
-    local_keys = turquois::KeyInfrastructure::setup(tcfg, root);
+  /// Checks over the final process states, before the auditor closes its
+  /// report (none by default).
+  template <class Procs>
+  void check_final_state(audit::ConsensusAuditor&, const Deployment&,
+                         const Procs&) const {}
+  /// Protocol-level sends, for RunResult::app_messages.
+  template <class Process>
+  static std::uint64_t sent(const Process& p) {
+    return p.stats().messages_sent;
   }
-  const turquois::KeyInfrastructure& keys =
-      local_keys.has_value() ? *local_keys : *setup->turquois_keys;
+};
 
-  // Intra-run acceleration: one prepared-exchange cache shared by all
-  // receivers, optionally pre-filled by lookahead workers. The cache is
-  // declared *before* the worker pool: destruction runs in reverse, so the
-  // pool drains and joins (completing any in-flight fill) while the cache
-  // entries it writes are still alive.
-  std::unique_ptr<turquois::ExchangePool> exchange_pool;
-  std::unique_ptr<sim::TaskPool> intra_pool;
-  if (sim::TaskPool::resolve(cfg.intra_jobs) > 1) {
-    intra_pool =
-        std::make_unique<sim::TaskPool>(sim::TaskPool::resolve(cfg.intra_jobs));
-  }
-  if (cfg.exchange_pool) {
-    exchange_pool = std::make_unique<turquois::ExchangePool>(
-        keys, tcfg, intra_pool.get());
-  }
+/// Broadcast transport (Turquois, AbsMac): one BroadcastEndpoint per
+/// process, on the medium or, when the topology is spatial and the relay is
+/// on, on the gossip relay so every datagram still reaches the whole group.
+/// The protocol code is identical either way.
+struct BusRow : RowBase {
+  net::BroadcastService* bus;
+  std::vector<std::unique_ptr<net::BroadcastEndpoint>> ports;
 
-  std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
-  std::vector<std::unique_ptr<turquois::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  // Single-hop endpoints sit on the medium directly; multi-hop ones route
-  // through the gossip relay so every state datagram still reaches the
-  // whole group. The protocol code is identical either way.
-  net::BroadcastService* bus = d.medium.get();
-  if (cfg.spatial.active() && cfg.relay_enabled) {
-    d.relay = std::make_unique<spatial::RelayFabric>(
-        d.sim, *d.medium, cfg.relay, cfg.n, root.derive("relay", 0));
-    bus = d.relay.get();
-  }
-
-  const bool fail_stop = plan.role == faultplan::Role::kFailStop;
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    endpoints.push_back(
-        std::make_unique<net::BroadcastEndpoint>(d.sim, *bus, id));
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor =
-        correct ? d.auditor.get() : nullptr;  // observe correct processes only
-    turquois::ProcessHooks hooks;
-    hooks.exchange_pool = exchange_pool.get();
-    hooks.on_decide = [&d, id, auditor](Value v, turquois::Phase phase,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, phase, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_phase = [id, auditor](turquois::Phase phase, SimTime at) {
-        auditor->on_phase(id, phase, at);
-      };
-    }
-    if (!correct && !fail_stop) {
-      hooks.mutate_outgoing =
-          cfg.attack == TurquoisAttack::kDecidedCoinForge
-              ? adversary::turquois_decided_coin_forge()
-              : adversary::turquois_value_inversion();
-    }
-    procs.push_back(std::make_unique<turquois::Process>(
-        *d.runtimes.back(), *endpoints.back(), tcfg, keys, id,
-        root.derive("proc", id), cfg.costs, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().broadcasts; };
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && fail_stop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  if (d.auditor != nullptr) {
-    // Quorum sanity, Turquois-flavoured: every correct decision must be
-    // backed by a quorum of messages carrying (some DECIDE phase, value) in
-    // the decider's final view. This holds for both decision paths — an own
-    // quorum transition counts its own view, and an adopted kDecided message
-    // passed status_valid only once the receiver's view held the decide
-    // quorum (validation.cpp) — and views never shrink.
-    std::vector<turquois::Process*> raw;
-    raw.reserve(procs.size());
-    for (const auto& p : procs) raw.push_back(p.get());
-    d.audit_finalize = [&d, tcfg, raw](audit::ConsensusAuditor& auditor) {
-      for (const ProcessId id : d.correct) {
-        const turquois::Process* p = raw[id];
-        if (!p->decided()) continue;
-        const Value v = p->decision();
-        const turquois::Message* highest =
-            p->view().highest_phase_message();
-        bool evidence = false;
-        if (highest != nullptr) {
-          for (turquois::Phase dph = 3; dph <= highest->phase; dph += 3) {
-            if (tcfg.exceeds_quorum(p->view().count_phase_value(dph, v))) {
-              evidence = true;
-              break;
-            }
-          }
-        }
-        if (!evidence) {
-          auditor.note_violation(
-              audit::Property::kQuorumSanity, id,
-              "decided " + turq::to_string(v) +
-                  " without a decide-phase quorum for it in the final view");
-        }
-      }
-    };
-  }
-
-  RunResult result = collect(cfg, d);
-#if TURQ_TRACE_ENABLED
-  if (exchange_pool != nullptr) {
-    if (trace::Tracer* t = trace::current()) {
-      // Acquire-side counters only: they are measured on the simulator
-      // thread in delivery order and are bit-identical at any --intra-jobs.
-      // Fill attribution (inline vs worker, claim races) is execution-
-      // timing-dependent and deliberately stays out of the trace contract
-      // (see ExchangePool::Stats).
-      const turquois::ExchangePool::Stats& ps = exchange_pool->stats();
-      auto& m = t->metrics();
-      m.counter("exchange_pool.acquires")
-          .add(static_cast<std::int64_t>(ps.acquires));
-      m.counter("exchange_pool.hits")
-          .add(static_cast<std::int64_t>(ps.shared_hits));
-      m.counter("exchange_pool.misses")
-          .add(static_cast<std::int64_t>(ps.misses()));
+  BusRow(const ScenarioConfig& cfg, Deployment& d, Rng& root)
+      : bus(d.medium.get()) {
+    if (cfg.spatial.active() && cfg.relay_enabled) {
+      d.relay = std::make_unique<spatial::RelayFabric>(
+          d.sim, *d.medium, cfg.relay, cfg.n, root.derive("relay", 0));
+      bus = d.relay.get();
     }
   }
-#endif
-  return result;
-}
 
-/// Shared pairwise HMAC keys (the pre-established security associations).
+  net::BroadcastEndpoint& open(const ScenarioConfig&, Deployment& d,
+                               ProcessId id) {
+    ports.push_back(std::make_unique<net::BroadcastEndpoint>(d.sim, *bus, id));
+    return *ports.back();
+  }
+  void disconnect(const Deployment&) {}  // broadcast keeps no connections
+  void finish(RunResult&) const {}
+};
+
+/// Pairwise HMAC keys (the pre-established security associations).
 std::vector<std::vector<Bytes>> make_sa_keys(std::uint32_t n, Rng& root) {
   Rng key_rng = root.derive("sa-keys", 0);
   std::vector<std::vector<Bytes>> keys(n, std::vector<Bytes>(n));
@@ -477,433 +321,426 @@ std::vector<std::vector<Bytes>> make_sa_keys(std::uint32_t n, Rng& root) {
   return keys;
 }
 
-RunResult run_bracha(const ScenarioConfig& cfg,
-                     const faultplan::FaultPlan& plan, Rng root,
-                     std::uint64_t rep_index, const ScenarioSetup* setup) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const bracha::Config bcfg = bracha::Config::for_group(cfg.n);
-  net::TcpConfig tcp = cfg.tcp;
-  tcp.authenticate = true;  // IPSec AH analogue
-
-  // make_sa_keys only consumes a derived stream, so hoisting it is
-  // stream-neutral for the rest of the repetition.
+/// Point-to-point transport (Bracha, ABBA, Crain): one TcpHost per process
+/// on the medium. On a spatial topology the hosts keep direct unicast; out
+/// of range their segments are simply lost (counted `unreachable`).
+/// `authenticate` HMACs every segment with the SA keys (`sa_keys` is set
+/// iff it is on); `sum_totals` adds the hosts' Stats to RunResult::tcp.
+struct TcpRow : RowBase {
+  net::TcpConfig config;
+  bool totals;
   std::vector<std::vector<Bytes>> local_keys;
-  if (setup == nullptr || setup->sa_keys.empty()) {
-    local_keys = make_sa_keys(cfg.n, root);
-  }
-  const std::vector<std::vector<Bytes>>& keys =
-      local_keys.empty() ? setup->sa_keys : local_keys;
-
+  const std::vector<std::vector<Bytes>>* sa_keys = nullptr;
   std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<bracha::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
 
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    for (ProcessId peer = 0; peer < cfg.n; ++peer) {
-      hosts.back()->set_peer_key(peer, keys[id][peer]);
+  TcpRow(const ScenarioConfig& cfg, Rng& root, const ScenarioSetup* setup,
+         bool authenticate, bool sum_totals)
+      : config(cfg.tcp), totals(sum_totals) {
+    config.authenticate = authenticate;
+    if (!authenticate) return;
+    // make_sa_keys only consumes a derived stream, so reusing the hoisted
+    // keys is stream-neutral for the rest of the repetition.
+    if (setup == nullptr || setup->sa_keys.empty()) {
+      local_keys = make_sa_keys(cfg.n, root);
     }
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? bracha::Strategy::kValueInversion
-                              : bracha::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    bracha::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<bracha::Process>(
-        *d.runtimes.back(), *hosts.back(), bcfg, id, root.derive("proc", id),
-        cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
+    sa_keys = local_keys.empty() ? &setup->sa_keys : &local_keys;
   }
 
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
+  static void hoist(const ScenarioConfig& cfg, Rng& root, ScenarioSetup& s) {
+    s.sa_keys = make_sa_keys(cfg.n, root);
+  }
+
+  net::TcpHost& open(const ScenarioConfig& cfg, Deployment& d, ProcessId id) {
+    hosts.push_back(std::make_unique<net::TcpHost>(
+        d.sim, *d.medium, id, config, d.cpus[id].get(), &cfg.costs));
+    if (sa_keys != nullptr) {
+      for (ProcessId peer = 0; peer < cfg.n; ++peer) {
+        hosts.back()->set_peer_key(peer, (*sa_keys)[id][peer]);
       }
     }
+    return *hosts.back();
   }
 
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
+  /// Fail-stop: crashed-before-start processes never came up, so surviving
+  /// hosts have no connection to them (no frames wasted on dead peers).
+  void disconnect(const Deployment& d) {
+    for (const auto& host : hosts) {
+      for (const ProcessId dead : d.faulty) host->disconnect_peer(dead);
     }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
   }
 
-  RunResult result = collect(cfg, d);
-  for (const auto& host : hosts) {
-    const auto s = host->stats();
-    result.tcp.messages_sent += s.messages_sent;
-    result.tcp.segments_sent += s.segments_sent;
-    result.tcp.segments_retransmitted += s.segments_retransmitted;
-    result.tcp.rto_fires += s.rto_fires;
-    result.tcp.fast_retransmits += s.fast_retransmits;
-  }
+  void finish(RunResult& result) const {
+    if (totals) {
+      for (const auto& host : hosts) {
+        const net::TcpHost::Stats s = host->stats();
+        result.tcp.messages_sent += s.messages_sent;
+        result.tcp.segments_sent += s.segments_sent;
+        result.tcp.segments_retransmitted += s.segments_retransmitted;
+        result.tcp.rto_fires += s.rto_fires;
+        result.tcp.fast_retransmits += s.fast_retransmits;
+      }
+    }
 #if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
-  }
+    if (trace::Tracer* t = trace::current()) {
+      for (const auto& host : hosts) t->metrics().merge(host->metrics());
+    }
 #endif
-  return result;
-}
+  }
+};
 
-RunResult run_abba(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
-                   Rng root, std::uint64_t rep_index) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const abba::Config acfg = abba::Config::for_group(cfg.n);
-  // Per-repetition on purpose: the dealer's threshold shares combine into
-  // the common-coin values, so hoisting them would change every coin flip
-  // (unlike the Turquois/Bracha key material, which never steers control
-  // flow).
+/// The per-repetition coin dealer of ABBA and Crain. Never hoisted: the
+/// dealer's shares combine into the common-coin values, so hoisting them
+/// would change every coin flip (unlike the Turquois/Bracha key material,
+/// which never steers control flow).
+template <class Dealer, class Config>
+Dealer deal(const Config& config, const Rng& root) {
   Rng dealer_rng = root.derive("dealer", 0);
-  const abba::Dealer dealer = abba::Dealer::setup(acfg, dealer_rng);
-  net::TcpConfig tcp = cfg.tcp;  // plain TCP: ABBA authenticates itself
-  tcp.authenticate = false;
+  return Dealer::setup(config, dealer_rng);
+}
 
-  std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<abba::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
+/// Turquois: hoistable one-time keys, the shared exchange pool, a Byzantine
+/// outgoing-message mutator, and the quorum-sanity scan plus pool trace
+/// counters as extras.
+struct TurquoisRow : BusRow {
+  using Process = turquois::Process;
+  using Hooks = turquois::ProcessHooks;
 
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? abba::Strategy::kInvalidCrypto
-                              : abba::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    abba::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
+  turquois::Config tcfg;
+  std::optional<turquois::KeyInfrastructure> local_keys;
+  const turquois::KeyInfrastructure* keys = nullptr;
+  // One prepared-exchange cache shared by all receivers, optionally
+  // pre-filled by lookahead workers. The cache is declared *before* the
+  // worker pool: destruction runs in reverse, so the pool drains and joins
+  // (completing any in-flight fill) while the cache entries it writes are
+  // still alive.
+  std::unique_ptr<turquois::ExchangePool> exchange_pool;
+  std::unique_ptr<sim::TaskPool> intra_pool;
+
+  TurquoisRow(const ScenarioConfig& cfg, Deployment& d, Rng& root,
+              const ScenarioSetup* setup)
+      : BusRow(cfg, d, root), tcfg(turquois::Config::for_group(cfg.n)) {
+    tcfg.tick_interval = cfg.tick_interval;
+    tcfg.tick_jitter = cfg.tick_jitter;
+    // KeyInfrastructure::setup only derive()s from root (never consumes
+    // it), so reusing the hoisted keys leaves every other stream untouched.
+    if (setup == nullptr || !setup->turquois_keys.has_value()) {
+      local_keys = turquois::KeyInfrastructure::setup(tcfg, root);
     }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<abba::Process>(
-        *d.runtimes.back(), *hosts.back(), acfg, dealer, id,
-        root.derive("proc", id), cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
+    keys = local_keys.has_value() ? &*local_keys : &*setup->turquois_keys;
+    if (sim::TaskPool::resolve(cfg.intra_jobs) > 1) {
+      intra_pool = std::make_unique<sim::TaskPool>(
+          sim::TaskPool::resolve(cfg.intra_jobs));
+    }
+    if (cfg.exchange_pool) {
+      exchange_pool = std::make_unique<turquois::ExchangePool>(
+          *keys, tcfg, intra_pool.get());
+    }
   }
 
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
+  static void hoist(const ScenarioConfig& cfg, Rng& root, ScenarioSetup& s) {
+    s.turquois_keys = turquois::KeyInfrastructure::setup(
+        turquois::Config::for_group(cfg.n), root);
+  }
+
+  std::unique_ptr<Process> make(const ScenarioConfig& cfg, runtime::Runtime& rt,
+                                net::BroadcastEndpoint& port, ProcessId id,
+                                Rng rng, Hooks hooks, bool byzantine) const {
+    hooks.exchange_pool = exchange_pool.get();
+    if (byzantine) {
+      hooks.mutate_outgoing =
+          cfg.attack == TurquoisAttack::kDecidedCoinForge
+              ? adversary::turquois_decided_coin_forge()
+              : adversary::turquois_value_inversion();
+    }
+    return std::make_unique<Process>(rt, port, tcfg, *keys, id, rng,
+                                     cfg.costs, std::move(hooks));
+  }
+
+  static std::uint64_t sent(const Process& p) { return p.stats().broadcasts; }
+  /// Quorum sanity, Turquois-flavoured: every correct decision must be
+  /// backed by a quorum of messages carrying (some DECIDE phase, value) in
+  /// the decider's final view. This holds for both decision paths — an own
+  /// quorum transition counts its own view, and an adopted kDecided message
+  /// passed status_valid only once the receiver's view held the decide
+  /// quorum (validation.cpp) — and views never shrink.
+  void check_final_state(audit::ConsensusAuditor& auditor, const Deployment& d,
+                         const std::vector<std::unique_ptr<Process>>& procs)
+      const {
+    for (const ProcessId id : d.correct) {
+      const Process& p = *procs[id];
+      if (!p.decided()) continue;
+      const Value v = p.decision();
+      const turquois::Message* highest = p.view().highest_phase_message();
+      const turquois::Phase top = highest != nullptr ? highest->phase : 0;
+      bool evidence = false;
+      for (turquois::Phase dph = 3; dph <= top && !evidence; dph += 3) {
+        evidence = tcfg.exceeds_quorum(p.view().count_phase_value(dph, v));
+      }
+      if (!evidence) {
+        auditor.note_violation(
+            audit::Property::kQuorumSanity, id,
+            "decided " + turq::to_string(v) +
+                " without a decide-phase quorum for it in the final view");
       }
     }
   }
 
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
+  void finish(RunResult&) const {
+#if TURQ_TRACE_ENABLED
+    trace::Tracer* t = trace::current();
+    if (exchange_pool == nullptr || t == nullptr) return;
+    // Acquire-side counters only: they are measured on the simulator
+    // thread in delivery order and are bit-identical at any --intra-jobs.
+    // Fill attribution (inline vs worker, claim races) is execution-
+    // timing-dependent and deliberately stays out of the trace contract
+    // (see ExchangePool::Stats).
+    const turquois::ExchangePool::Stats& ps = exchange_pool->stats();
+    auto& m = t->metrics();
+    m.counter("exchange_pool.acquires")
+        .add(static_cast<std::int64_t>(ps.acquires));
+    m.counter("exchange_pool.hits")
+        .add(static_cast<std::int64_t>(ps.shared_hits));
+    m.counter("exchange_pool.misses")
+        .add(static_cast<std::int64_t>(ps.misses()));
+#endif
+  }
+};
+
+/// Bracha: TcpHosts authenticated with the SA keys (the IPSec AH
+/// analogue); Byzantine processes invert values.
+struct BrachaRow : TcpRow {
+  using Process = bracha::Process;
+  using Hooks = bracha::ProcessHooks;
+
+  bracha::Config bcfg;
+
+  BrachaRow(const ScenarioConfig& cfg, Deployment&, Rng& root,
+            const ScenarioSetup* setup)
+      : TcpRow(cfg, root, setup, /*authenticate=*/true, /*sum_totals=*/true),
+        bcfg(bracha::Config::for_group(cfg.n)) {}
+
+  std::unique_ptr<Process> make(const ScenarioConfig& cfg, runtime::Runtime& rt,
+                                net::TcpHost& host, ProcessId id, Rng rng,
+                                Hooks hooks, bool byzantine) const {
+    return std::make_unique<Process>(
+        rt, host, bcfg, id, rng, cfg.costs,
+        byzantine ? bracha::Strategy::kValueInversion
+                  : bracha::Strategy::kHonest,
+        std::move(hooks));
+  }
+};
+
+/// ABBA: plain TCP (ABBA authenticates its own messages) and a
+/// per-repetition dealer; Byzantine processes send invalid crypto.
+/// RunResult::tcp stays all-zero for ABBA: it never summed its host totals,
+/// and perfbench's traced rebuild compares that against run_once.
+struct AbbaRow : TcpRow {
+  using Process = abba::Process;
+  using Hooks = abba::ProcessHooks;
+
+  abba::Config acfg;
+  abba::Dealer dealer;
+
+  AbbaRow(const ScenarioConfig& cfg, Deployment&, Rng& root,
+          const ScenarioSetup* setup)
+      : TcpRow(cfg, root, setup, /*authenticate=*/false,
+               /*sum_totals=*/false),
+        acfg(abba::Config::for_group(cfg.n)),
+        dealer(deal<abba::Dealer>(acfg, root)) {}
+
+  std::unique_ptr<Process> make(const ScenarioConfig& cfg, runtime::Runtime& rt,
+                                net::TcpHost& host, ProcessId id, Rng rng,
+                                Hooks hooks, bool byzantine) const {
+    return std::make_unique<Process>(
+        rt, host, acfg, dealer, id, rng, cfg.costs,
+        byzantine ? abba::Strategy::kInvalidCrypto : abba::Strategy::kHonest,
+        std::move(hooks));
+  }
+};
+
+/// Crain: authenticated channels (SA keys, no signatures) and a
+/// per-repetition dealer; Byzantine processes invert values.
+struct CrainRow : TcpRow {
+  using Process = crain::Process;
+  using Hooks = crain::ProcessHooks;
+
+  crain::Config ccfg;
+  crain::Dealer dealer;
+
+  CrainRow(const ScenarioConfig& cfg, Deployment&, Rng& root,
+           const ScenarioSetup* setup)
+      : TcpRow(cfg, root, setup, /*authenticate=*/true, /*sum_totals=*/true),
+        ccfg(crain::Config::for_group(cfg.n)),
+        dealer(deal<crain::Dealer>(ccfg, root)) {}
+
+  std::unique_ptr<Process> make(const ScenarioConfig& cfg, runtime::Runtime& rt,
+                                net::TcpHost& host, ProcessId id, Rng rng,
+                                Hooks hooks, bool byzantine) const {
+    return std::make_unique<Process>(
+        rt, host, ccfg, dealer, id, rng, cfg.costs,
+        byzantine ? crain::Strategy::kValueInversion
+                  : crain::Strategy::kHonest,
+        std::move(hooks));
+  }
+};
+
+/// AbsMac: the Turquois broadcast bus under an abstract MAC; Byzantine
+/// processes invert values.
+struct AbsMacRow : BusRow {
+  using Process = absmac::Process;
+  using Hooks = absmac::ProcessHooks;
+
+  absmac::Config mcfg;
+
+  AbsMacRow(const ScenarioConfig& cfg, Deployment& d, Rng& root,
+            const ScenarioSetup*)
+      : BusRow(cfg, d, root), mcfg(absmac::Config::for_group(cfg.n)) {
+    mcfg.tick_interval = cfg.tick_interval;
   }
 
-  RunResult result = collect(cfg, d);
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
+  std::unique_ptr<Process> make(const ScenarioConfig&, runtime::Runtime& rt,
+                                net::BroadcastEndpoint& port, ProcessId id,
+                                Rng rng, Hooks hooks, bool byzantine) const {
+    return std::make_unique<Process>(
+        rt, port, mcfg, id, rng,
+        byzantine ? absmac::Strategy::kValueInversion
+                  : absmac::Strategy::kHonest,
+        std::move(hooks));
   }
-#endif
-  return result;
+};
+
+// ------------------------------------------------------ the one repetition --
+
+/// The hooks every process gets: each decision records its time, and a
+/// correct process (`auditor` set; faulty ones are not observed) also
+/// reports its decisions and its phase (Turquois) or round (baselines)
+/// entries to the auditor.
+template <class Hooks>
+Hooks observe(Deployment& d, ProcessId id, audit::ConsensusAuditor* auditor) {
+  Hooks hooks;
+  hooks.on_decide = [&d, id, auditor](Value v, auto phase, SimTime at) {
+    d.decide_at[id] = at;
+    if (auditor != nullptr) auditor->on_decide(id, v, phase, at);
+  };
+  if (auditor != nullptr) {
+    const auto on_phase = [id, auditor](auto phase, SimTime at) {
+      auditor->on_phase(id, phase, at);
+    };
+    if constexpr (requires(Hooks& h) { h.on_phase; }) {
+      hooks.on_phase = on_phase;
+    } else {
+      hooks.on_round = on_phase;
+    }
+  }
+  return hooks;
 }
 
-RunResult run_crain(const ScenarioConfig& cfg,
-                    const faultplan::FaultPlan& plan, Rng root,
-                    std::uint64_t rep_index, const ScenarioSetup* setup) {
+/// One repetition of any protocol. The orders below fix the simulator's
+/// event tie-breaks and so every golden: processes are built in id order,
+/// each as CPU, runtime, transport port, process; start offsets are drawn
+/// in id order from the "start" stream, and fail-stop processes crash
+/// without taking a draw.
+template <class Row>
+RunResult deploy(const ScenarioConfig& cfg, const faultplan::FaultPlan& plan,
+                 Rng root, std::uint64_t rep_index,
+                 const ScenarioSetup* setup) {
   Deployment d;
   d.rep_index = rep_index;
   split_roles(cfg, plan, d);
   setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
-
-  const crain::Config ccfg = crain::Config::for_group(cfg.n);
-  // Per-repetition like ABBA's dealer: the combined shares ARE the common
-  // coin, so hoisting would change every coin flip.
-  Rng dealer_rng = root.derive("dealer", 0);
-  const crain::Dealer dealer = crain::Dealer::setup(ccfg, dealer_rng);
-  net::TcpConfig tcp = cfg.tcp;
-  tcp.authenticate = true;  // authenticated channels, no signatures
-
-  // make_sa_keys only consumes a derived stream, so hoisting it is
-  // stream-neutral for the rest of the repetition.
-  std::vector<std::vector<Bytes>> local_keys;
-  if (setup == nullptr || setup->sa_keys.empty()) {
-    local_keys = make_sa_keys(cfg.n, root);
+  if (cfg.audit) {
+    d.auditor = std::make_unique<audit::ConsensusAuditor>(audit::AuditConfig{
+        .n = cfg.n, .f = cfg.f(), .k = cfg.k(),
+        .phase_bound = cfg.audit_phase_bound});
   }
-  const std::vector<std::vector<Bytes>>& keys =
-      local_keys.empty() ? setup->sa_keys : local_keys;
 
-  std::vector<std::unique_ptr<net::TcpHost>> hosts;
-  std::vector<std::unique_ptr<crain::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
+  Row row(cfg, d, root, setup);
+  std::vector<std::unique_ptr<typename Row::Process>> procs;
   d.start_at.resize(cfg.n, 0);
   d.decide_at.resize(cfg.n);
 
   for (ProcessId id = 0; id < cfg.n; ++id) {
     d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    hosts.push_back(std::make_unique<net::TcpHost>(
-        d.sim, *d.medium, id, tcp, d.cpus.back().get(), &cfg.costs));
-    for (ProcessId peer = 0; peer < cfg.n; ++peer) {
-      hosts.back()->set_peer_key(peer, keys[id][peer]);
-    }
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? crain::Strategy::kValueInversion
-                              : crain::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    crain::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
     d.runtimes.push_back(
         std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<crain::Process>(
-        *d.runtimes.back(), *hosts.back(), ccfg, dealer, id,
-        root.derive("proc", id), cfg.costs, strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
+    auto& port = row.open(cfg, d, id);
+    const bool faulty = d.is_faulty(id);
+    procs.push_back(row.make(
+        cfg, *d.runtimes.back(), port, id, root.derive("proc", id),
+        observe<typename Row::Hooks>(d, id, faulty ? nullptr : d.auditor.get()),
+        faulty && plan.role == faultplan::Role::kByzantine));
   }
 
-  if (plan.role == faultplan::Role::kFailStop) {
-    // Crashed-before-start processes never came up: surviving hosts have no
-    // connection to them (no frames wasted on unreachable peers).
-    for (ProcessId alive = 0; alive < cfg.n; ++alive) {
-      for (const ProcessId dead : d.faulty) {
-        hosts[alive]->disconnect_peer(dead);
-      }
-    }
-  }
-
+  const bool fail_stop = plan.role == faultplan::Role::kFailStop;
+  if (fail_stop) row.disconnect(d);
   Rng start_rng = root.derive("start", 0);
   for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
+    const bool faulty = d.is_faulty(id);
+    if (faulty && fail_stop) {
       procs[id]->crash();
       continue;
     }
     const auto offset = static_cast<SimDuration>(start_rng.uniform(
         static_cast<std::uint64_t>(cfg.start_spread) + 1));
     d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
+    const Value v = proposal_for(cfg.distribution, id);
+    if (!faulty && d.auditor != nullptr) d.auditor->on_propose(id, v, offset);
+    d.sim.schedule_at(offset, [p = procs[id].get(), v] { p->propose(v); });
   }
 
-  RunResult result = collect(cfg, d);
-  for (const auto& host : hosts) {
-    const auto s = host->stats();
-    result.tcp.messages_sent += s.messages_sent;
-    result.tcp.segments_sent += s.segments_sent;
-    result.tcp.segments_retransmitted += s.segments_retransmitted;
-    result.tcp.rto_fires += s.rto_fires;
-    result.tcp.fast_retransmits += s.fast_retransmits;
-  }
-#if TURQ_TRACE_ENABLED
-  if (trace::Tracer* t = trace::current()) {
-    for (const auto& host : hosts) t->metrics().merge(host->metrics());
-  }
-#endif
+  RunResult result = collect(cfg, d, row, procs);
+  row.finish(result);
   return result;
 }
 
-RunResult run_absmac(const ScenarioConfig& cfg,
-                     const faultplan::FaultPlan& plan, Rng root,
-                     std::uint64_t rep_index) {
-  Deployment d;
-  d.rep_index = rep_index;
-  split_roles(cfg, plan, d);
-  setup_medium(cfg, plan, d, root);
-  setup_auditor(cfg, d);
+/// The protocol table: one row per protocol, in Protocol order.
+struct ProtocolEntry {
+  Protocol protocol;
+  const char* flag;  // command-line spelling
+  const char* name;  // report spelling
+  RunResult (*run)(const ScenarioConfig&, const faultplan::FaultPlan&, Rng,
+                   std::uint64_t, const ScenarioSetup*);
+  /// Fills what make_scenario_setup hoists, or nullptr when nothing can be
+  /// hoisted (ABBA's dealer must stay per repetition; AbsMac has no keys).
+  void (*hoist)(const ScenarioConfig&, Rng&, ScenarioSetup&);
+};
 
-  absmac::Config mcfg = absmac::Config::for_group(cfg.n);
-  mcfg.tick_interval = cfg.tick_interval;
+constexpr ProtocolEntry kProtocols[] = {
+    {Protocol::kTurquois, "turquois", "Turquois", &deploy<TurquoisRow>,
+     &TurquoisRow::hoist},
+    {Protocol::kBracha, "bracha", "Bracha", &deploy<BrachaRow>, &TcpRow::hoist},
+    {Protocol::kAbba, "abba", "ABBA", &deploy<AbbaRow>, nullptr},
+    {Protocol::kCrain, "crain", "Crain", &deploy<CrainRow>, &TcpRow::hoist},
+    {Protocol::kAbsMac, "absmac", "AbsMac", &deploy<AbsMacRow>, nullptr},
+};
 
-  std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints;
-  std::vector<std::unique_ptr<absmac::Process>> procs;
-  d.decided.resize(cfg.n);
-  d.decision.resize(cfg.n);
-  d.sent.resize(cfg.n);
-  d.start_at.resize(cfg.n, 0);
-  d.decide_at.resize(cfg.n);
-
-  // Same transport split as Turquois: single-hop endpoints sit on the
-  // medium, multi-hop ones route through the gossip relay — the abstract
-  // MAC above is none the wiser.
-  net::BroadcastService* bus = d.medium.get();
-  if (cfg.spatial.active() && cfg.relay_enabled) {
-    d.relay = std::make_unique<spatial::RelayFabric>(
-        d.sim, *d.medium, cfg.relay, cfg.n, root.derive("relay", 0));
-    bus = d.relay.get();
-  }
-
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    d.cpus.push_back(std::make_unique<sim::VirtualCpu>(d.sim));
-    endpoints.push_back(
-        std::make_unique<net::BroadcastEndpoint>(d.sim, *bus, id));
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    const auto strategy = (faulty && plan.role == faultplan::Role::kByzantine)
-                              ? absmac::Strategy::kValueInversion
-                              : absmac::Strategy::kHonest;
-    const bool correct = std::find(d.correct.begin(), d.correct.end(), id) !=
-                         d.correct.end();
-    audit::ConsensusAuditor* auditor = correct ? d.auditor.get() : nullptr;
-    absmac::ProcessHooks hooks;
-    hooks.on_decide = [&d, id, auditor](Value v, std::uint32_t round,
-                                        SimTime at) {
-      d.decide_at[id] = at;
-      if (auditor != nullptr) auditor->on_decide(id, v, round, at);
-    };
-    if (auditor != nullptr) {
-      hooks.on_round = [id, auditor](std::uint32_t round, SimTime at) {
-        auditor->on_phase(id, round, at);
-      };
-    }
-    d.runtimes.push_back(
-        std::make_unique<runtime::SimRuntime>(d.sim, *d.cpus.back()));
-    procs.push_back(std::make_unique<absmac::Process>(
-        *d.runtimes.back(), *endpoints.back(), mcfg, id,
-        root.derive("proc", id), strategy, std::move(hooks)));
-    auto* p = procs.back().get();
-    d.decided[id] = [p] { return p->decided(); };
-    d.decision[id] = [p]() -> std::optional<Value> {
-      return p->decided() ? std::optional<Value>(p->decision()) : std::nullopt;
-    };
-    d.sent[id] = [p] { return p->stats().messages_sent; };
-  }
-
-  Rng start_rng = root.derive("start", 0);
-  for (ProcessId id = 0; id < cfg.n; ++id) {
-    const bool faulty = std::find(d.faulty.begin(), d.faulty.end(), id) !=
-                        d.faulty.end();
-    if (faulty && plan.role == faultplan::Role::kFailStop) {
-      procs[id]->crash();
-      continue;
-    }
-    const auto offset = static_cast<SimDuration>(start_rng.uniform(
-        static_cast<std::uint64_t>(cfg.start_spread) + 1));
-    d.start_at[id] = offset;
-    if (!faulty && d.auditor != nullptr) {
-      d.auditor->on_propose(id, proposal_for(cfg.distribution, id), offset);
-    }
-    d.sim.schedule_at(offset, [p = procs[id].get(),
-                               v = proposal_for(cfg.distribution, id)] {
-      p->propose(v);
-    });
-  }
-
-  return collect(cfg, d);
+const ProtocolEntry& entry(Protocol p) {
+  const auto i = static_cast<std::size_t>(p);
+  TURQ_ASSERT(i < std::size(kProtocols) && kProtocols[i].protocol == p);
+  return kProtocols[i];
 }
 
 }  // namespace
+
+std::string to_string(Protocol p) { return entry(p).name; }
+
+const char* protocol_flag(Protocol p) { return entry(p).flag; }
+
+std::optional<Protocol> parse_protocol(std::string_view flag) {
+  for (const ProtocolEntry& e : kProtocols) {
+    if (flag == e.flag) return e.protocol;
+  }
+  return std::nullopt;
+}
+
+std::string protocol_flags(std::string_view separator) {
+  std::string out;
+  for (const ProtocolEntry& e : kProtocols) {
+    if (!out.empty()) out += separator;
+    out += e.flag;
+  }
+  return out;
+}
 
 std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.repetitions == 0) {
@@ -966,21 +803,7 @@ std::shared_ptr<const ScenarioSetup> make_scenario_setup(
   // Derived from the repetition-0 stream: repetition 0 under the hoisted
   // path is byte-for-byte the deployment the unhoisted path builds.
   Rng root = Rng::stream(cfg.seed, "rep", 0);
-  switch (cfg.protocol) {
-    case Protocol::kTurquois: {
-      const turquois::Config tcfg = turquois::Config::for_group(cfg.n);
-      setup->turquois_keys = turquois::KeyInfrastructure::setup(tcfg, root);
-      break;
-    }
-    case Protocol::kBracha:
-    case Protocol::kCrain:
-      setup->sa_keys = make_sa_keys(cfg.n, root);
-      break;
-    case Protocol::kAbba:
-      break;  // the dealer must stay per-repetition (see run_abba)
-    case Protocol::kAbsMac:
-      break;  // nothing to hoist: no keys, no dealer
-  }
+  if (const auto hoist = entry(cfg.protocol).hoist) hoist(cfg, root, *setup);
   return setup;
 }
 
@@ -1010,24 +833,7 @@ RunResult run_once(const ScenarioConfig& cfg, std::uint64_t rep_index,
   }
 #endif
 
-  RunResult result;
-  switch (cfg.protocol) {
-    case Protocol::kTurquois:
-      result = run_turquois(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kBracha:
-      result = run_bracha(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kAbba:
-      result = run_abba(cfg, plan, rep, rep_index);
-      break;
-    case Protocol::kCrain:
-      result = run_crain(cfg, plan, rep, rep_index, setup);
-      break;
-    case Protocol::kAbsMac:
-      result = run_absmac(cfg, plan, rep, rep_index);
-      break;
-  }
+  RunResult result = entry(cfg.protocol).run(cfg, plan, rep, rep_index, setup);
 
 #if TURQ_TRACE_ENABLED
   if (tracer.has_value()) tracer->flush(*cfg.trace_sink);
@@ -1081,18 +887,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     }
     result.latency_ms.add_all(run.latencies_ms);
     result.app_messages += run.app_messages;
-    result.medium_total.broadcast_frames += run.medium.broadcast_frames;
-    result.medium_total.unicast_frames += run.medium.unicast_frames;
-    result.medium_total.collisions += run.medium.collisions;
-    result.medium_total.mac_retries += run.medium.mac_retries;
-    result.medium_total.unicast_drops += run.medium.unicast_drops;
-    result.medium_total.deliveries += run.medium.deliveries;
-    result.medium_total.omissions += run.medium.omissions;
-    result.medium_total.frames_collided += run.medium.frames_collided;
-    result.medium_total.bytes_on_air += run.medium.bytes_on_air;
-    result.medium_total.airtime += run.medium.airtime;
-    result.medium_total.unreachable += run.medium.unreachable;
-    result.medium_total.hidden_terminal += run.medium.hidden_terminal;
+    result.medium_total += run.medium;
     if (run.spatial.has_value()) {
       if (!result.spatial_total.has_value()) result.spatial_total.emplace();
       spatial::SpatialStats& agg = *result.spatial_total;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,8 +48,20 @@ enum class TurquoisAttack { kValueInversion, kDecidedCoinForge };
 
 std::string to_string(TurquoisAttack a);
 
+/// The report name of `p` ("Turquois", "ABBA", ...), used in tables,
+/// JSON reports and logs.
 std::string to_string(Protocol p);
 std::string to_string(ProposalDist d);
+
+/// The command-line spelling of `p` ("turquois", "abba", ...). With
+/// parse_protocol and protocol_flags this is the one place the tools spell
+/// protocol names: --protocol, --protocols and the fuzzer's reproducers.
+[[nodiscard]] const char* protocol_flag(Protocol p);
+/// The protocol whose protocol_flag is `flag`; nullopt for any other text.
+[[nodiscard]] std::optional<Protocol> parse_protocol(std::string_view flag);
+/// Every protocol's flag in table order, joined by `separator` (for usage
+/// text, e.g. "turquois|bracha|abba|crain|absmac").
+[[nodiscard]] std::string protocol_flags(std::string_view separator);
 
 struct ScenarioConfig {
   Protocol protocol = Protocol::kTurquois;

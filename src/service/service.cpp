@@ -606,18 +606,7 @@ ServiceScenarioResult run_service(const ScenarioConfig& cfg) {
     }
     result.latency_ms.add_all(run.latencies_ms);
     result.app_messages += run.app_messages;
-    result.medium_total.broadcast_frames += run.medium.broadcast_frames;
-    result.medium_total.unicast_frames += run.medium.unicast_frames;
-    result.medium_total.collisions += run.medium.collisions;
-    result.medium_total.mac_retries += run.medium.mac_retries;
-    result.medium_total.unicast_drops += run.medium.unicast_drops;
-    result.medium_total.deliveries += run.medium.deliveries;
-    result.medium_total.omissions += run.medium.omissions;
-    result.medium_total.frames_collided += run.medium.frames_collided;
-    result.medium_total.bytes_on_air += run.medium.bytes_on_air;
-    result.medium_total.airtime += run.medium.airtime;
-    result.medium_total.unreachable += run.medium.unreachable;
-    result.medium_total.hidden_terminal += run.medium.hidden_terminal;
+    result.medium_total += run.medium;
   }
   return result;
 }

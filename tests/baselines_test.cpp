@@ -50,6 +50,7 @@ struct BrachaRig {
   crypto::CostModel costs;
   bracha::Config cfg;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::TcpHost>> hosts;
   std::vector<std::unique_ptr<bracha::Process>> procs;
 
@@ -62,12 +63,14 @@ struct BrachaRig {
     Rng root(seed);
     for (ProcessId id = 0; id < n; ++id) {
       cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+      runtimes.push_back(
+          std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
       hosts.push_back(std::make_unique<net::TcpHost>(
           sim, medium, id, tcp, cpus.back().get(), &costs));
       const auto strategy = id < strategies.size() ? strategies[id]
                                                    : bracha::Strategy::kHonest;
       procs.push_back(std::make_unique<bracha::Process>(
-          sim, *hosts.back(), *cpus.back(), cfg, id, root.derive("p", id),
+          *runtimes.back(), *hosts.back(), cfg, id, root.derive("p", id),
           costs, strategy));
     }
     for (auto& h : hosts) {
@@ -165,6 +168,7 @@ struct AbbaRig {
   abba::Config cfg;
   abba::Dealer dealer;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
   std::vector<std::unique_ptr<net::TcpHost>> hosts;
   std::vector<std::unique_ptr<abba::Process>> procs;
 
@@ -181,12 +185,14 @@ struct AbbaRig {
     Rng root(seed);
     for (ProcessId id = 0; id < n; ++id) {
       cpus.push_back(std::make_unique<sim::VirtualCpu>(sim));
+      runtimes.push_back(
+          std::make_unique<runtime::SimRuntime>(sim, *cpus.back()));
       hosts.push_back(std::make_unique<net::TcpHost>(
           sim, medium, id, net::TcpConfig{}, cpus.back().get(), &costs));
       const auto strategy =
           id < strategies.size() ? strategies[id] : abba::Strategy::kHonest;
       procs.push_back(std::make_unique<abba::Process>(
-          sim, *hosts.back(), *cpus.back(), cfg, dealer, id,
+          *runtimes.back(), *hosts.back(), cfg, dealer, id,
           root.derive("p", id), costs, strategy));
     }
   }

@@ -31,22 +31,28 @@
 namespace turq::turquois {
 namespace {
 
-/// Self-contained Turquois deployment for tests.
+/// Self-contained Turquois deployment for tests. `mutators[id]`, when
+/// present and set, makes process `id` Byzantine with that strategy.
 class Cluster {
  public:
   Cluster(std::uint32_t n, std::uint64_t seed,
-          net::MediumConfig medium_cfg = {})
+          std::vector<Mutator> mutators = {})
       : cfg_(Config::for_group(n)),
         root_rng_(seed),
-        medium_(sim_, medium_cfg, root_rng_.derive("medium", 0)),
+        medium_(sim_, net::MediumConfig{}, root_rng_.derive("medium", 0)),
         keys_(KeyInfrastructure::setup(cfg_, root_rng_)) {
+    mutators.resize(n);
     for (ProcessId id = 0; id < n; ++id) {
       cpus_.push_back(std::make_unique<sim::VirtualCpu>(sim_));
+      runtimes_.push_back(
+          std::make_unique<runtime::SimRuntime>(sim_, *cpus_.back()));
       endpoints_.push_back(
           std::make_unique<net::BroadcastEndpoint>(sim_, medium_, id));
+      ProcessHooks hooks;
+      hooks.mutate_outgoing = std::move(mutators[id]);
       processes_.push_back(std::make_unique<Process>(
-          sim_, *endpoints_.back(), *cpus_.back(), cfg_, keys_, id,
-          root_rng_.derive("process", id), costs_));
+          *runtimes_.back(), *endpoints_.back(), cfg_, keys_, id,
+          root_rng_.derive("process", id), costs_, std::move(hooks)));
     }
   }
 
@@ -118,6 +124,7 @@ class Cluster {
   KeyInfrastructure keys_;
   crypto::CostModel costs_;
   std::vector<std::unique_ptr<sim::VirtualCpu>> cpus_;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<net::BroadcastEndpoint>> endpoints_;
   std::vector<std::unique_ptr<Process>> processes_;
 };
@@ -277,17 +284,18 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, TurquoisSeeds,
 TEST(TurquoisByzantine, ValueInversionCannotBreakValidity) {
   // All correct processes propose 1; f insiders flip values and push ⊥.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    Cluster cluster(7, seed);
     const std::uint32_t f = 2;
     std::vector<ProcessId> correct;
+    std::vector<Mutator> mutators(7);
     for (ProcessId id = 0; id < 7; ++id) {
       if (id >= 7 - f) {
-        cluster.process(id).set_mutator(adversary::turquois_value_inversion());
+        mutators[id] = adversary::turquois_value_inversion();
       } else {
         correct.push_back(id);
       }
-      cluster.process(id).propose(Value::kOne);
     }
+    Cluster cluster(7, seed, mutators);
+    cluster.propose_all(unanimous(7, Value::kOne));
     ASSERT_TRUE(cluster.run_until_decided(correct, 60 * kSecond))
         << "seed " << seed;
     for (const ProcessId id : correct) {
@@ -302,18 +310,19 @@ TEST(TurquoisByzantine, DivergentUnderAttackStillTerminates) {
   // time (a straggler could never validate coin-derived values whose ⊥
   // justification cannot be attached recursively).
   for (const std::uint64_t seed : {10u, 11u, 12u, 13u, 14u, 15u}) {
-    Cluster cluster(7, seed);
     const std::uint32_t f = 2;
     std::vector<ProcessId> correct;
+    std::vector<Mutator> mutators(7);
     const auto proposals = divergent(7);
     for (ProcessId id = 0; id < 7; ++id) {
       if (id >= 7 - f) {
-        cluster.process(id).set_mutator(adversary::turquois_value_inversion());
+        mutators[id] = adversary::turquois_value_inversion();
       } else {
         correct.push_back(id);
       }
-      cluster.process(id).propose(proposals[id]);
     }
+    Cluster cluster(7, seed, mutators);
+    cluster.propose_all(proposals);
     ASSERT_TRUE(cluster.run_until_decided(correct, 120 * kSecond))
         << "seed " << seed;
     cluster.check_safety(correct, proposals);
@@ -360,11 +369,12 @@ TEST(TurquoisByzantine, UnsignedMainMessageCountsAsAuthFailure) {
   // An insider that pushes ⊥ into phase 1 leaves the one-time key domain,
   // so its main message goes out with no revealed key. Every correct
   // receiver must count it as an authentication failure, never accept it.
-  Cluster cluster(4, 11);
-  cluster.process(3).set_mutator([](Message& m) {
+  std::vector<Mutator> mutators(4);
+  mutators[3] = [](Message& m) {
     m.phase = 1;
     m.value = Value::kBottom;
-  });
+  };
+  Cluster cluster(4, 11, mutators);
   cluster.propose_all({Value::kOne, Value::kOne, Value::kOne, Value::kOne});
   const std::vector<ProcessId> correct = {0, 1, 2};
   ASSERT_TRUE(cluster.run_until_decided(correct));

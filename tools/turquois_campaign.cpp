@@ -44,9 +44,9 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --protocols turquois,abba,bracha,crain,absmac\n"
+      "  --protocols %s\n"
       "                                      comma-separated protocol list\n"
-      "                                      (default turquois)\n"
+      "                                      (default %s)\n"
       "  --sizes 4,7,...                     comma-separated group sizes\n"
       "                                      (default 4,7)\n"
       "  --plan <name-or-spec>               repeatable; a named plan or a\n"
@@ -98,7 +98,8 @@ namespace {
       "  --no-audit                          skip the consensus-property\n"
       "                                      auditor (on by default; audit\n"
       "                                      violations fail the campaign)\n",
-      argv0, plans.c_str());
+      argv0, protocol_flags(",").c_str(), protocol_flag(Protocol::kTurquois),
+      plans.c_str());
   std::exit(2);
 }
 
@@ -210,13 +211,10 @@ int main(int argc, char** argv) {
     };
     if (arg == "--protocols") {
       protocols.clear();
-      for (const std::string& p : split_list(next())) {
-        if (p == "turquois") protocols.push_back(Protocol::kTurquois);
-        else if (p == "abba") protocols.push_back(Protocol::kAbba);
-        else if (p == "bracha") protocols.push_back(Protocol::kBracha);
-        else if (p == "crain") protocols.push_back(Protocol::kCrain);
-        else if (p == "absmac") protocols.push_back(Protocol::kAbsMac);
-        else usage(argv[0]);
+      for (const std::string& name : split_list(next())) {
+        const auto p = parse_protocol(name);
+        if (!p.has_value()) usage(argv[0]);
+        protocols.push_back(*p);
       }
     } else if (arg == "--sizes") {
       sizes.clear();

@@ -54,9 +54,8 @@ namespace {
       "                          scenario, so reproducers are plain\n"
       "                          turquois_sim invocations\n"
       "  --seed-base <S>         scenario root seed (default 1)\n"
-      "  --protocols <list>      comma-separated: turquois,abba,bracha,\n"
-      "                          crain,absmac\n"
-      "                          (default turquois)\n"
+      "  --protocols <list>      comma-separated: %s\n"
+      "                          (default %s)\n"
       "  --plans <list>          comma-separated named plans or clause specs\n"
       "                          (default none,byzantine,adaptive)\n"
       "  --attacks <list>        comma-separated Turquois Byzantine\n"
@@ -83,7 +82,7 @@ namespace {
       "                          cell into this directory\n"
       "  --no-shrink             report the first violation as-is\n"
       "  --quick                 smoke preset: 30 s deadline\n",
-      argv0);
+      argv0, protocol_flags(",").c_str(), protocol_flag(Protocol::kTurquois));
   std::exit(2);
 }
 
@@ -127,17 +126,6 @@ std::string slug(const std::string& label) {
   }
   while (!out.empty() && out.back() == '-') out.pop_back();
   return out.empty() ? "plan" : out;
-}
-
-const char* protocol_flag(Protocol p) {
-  switch (p) {
-    case Protocol::kTurquois: return "turquois";
-    case Protocol::kBracha: return "bracha";
-    case Protocol::kAbba: return "abba";
-    case Protocol::kCrain: return "crain";
-    case Protocol::kAbsMac: return "absmac";
-  }
-  return "?";
 }
 
 /// First violating repetition of `cfg`, with a one-line reason. A violation
@@ -343,13 +331,10 @@ int main(int argc, char** argv) {
       seed_base = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (arg == "--protocols") {
       protocols.clear();
-      for (const std::string& p : split_list(next())) {
-        if (p == "turquois") protocols.push_back(Protocol::kTurquois);
-        else if (p == "abba") protocols.push_back(Protocol::kAbba);
-        else if (p == "bracha") protocols.push_back(Protocol::kBracha);
-        else if (p == "crain") protocols.push_back(Protocol::kCrain);
-        else if (p == "absmac") protocols.push_back(Protocol::kAbsMac);
-        else usage(argv[0]);
+      for (const std::string& name : split_list(next())) {
+        const auto p = parse_protocol(name);
+        if (!p.has_value()) usage(argv[0]);
+        protocols.push_back(*p);
       }
     } else if (arg == "--plans") {
       plan_names = split_list(next());

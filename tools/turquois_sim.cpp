@@ -34,8 +34,8 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --protocol turquois|abba|bracha|crain|absmac\n"
-      "                                    (default turquois)\n"
+      "  --protocol %s\n"
+      "                                    (default %s)\n"
       "  --n <4..128>                      group size (default 7)\n"
       "  --dist unanimous|divergent        proposal distribution\n"
       "  --faults <plan>                   fault plan: a named plan (none|\n"
@@ -118,7 +118,7 @@ namespace {
       "                                    trace_inspect (default); chrome:\n"
       "                                    load in chrome://tracing/Perfetto\n"
       "  --trace-sim-events                also trace scheduler dispatches\n",
-      argv0);
+      argv0, protocol_flags("|").c_str(), protocol_flag(Protocol::kTurquois));
   std::exit(2);
 }
 
@@ -155,13 +155,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--protocol") {
-      const std::string_view p = next();
-      if (p == "turquois") cfg.protocol = Protocol::kTurquois;
-      else if (p == "abba") cfg.protocol = Protocol::kAbba;
-      else if (p == "bracha") cfg.protocol = Protocol::kBracha;
-      else if (p == "crain") cfg.protocol = Protocol::kCrain;
-      else if (p == "absmac") cfg.protocol = Protocol::kAbsMac;
-      else usage(argv[0]);
+      const auto p = parse_protocol(next());
+      if (!p.has_value()) usage(argv[0]);
+      cfg.protocol = *p;
     } else if (arg == "--n") {
       cfg.n = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (arg == "--dist") {
